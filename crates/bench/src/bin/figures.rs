@@ -3,27 +3,22 @@
 //! ```text
 //! cargo run -p rcpn-bench --release --bin figures -- all
 //! cargo run -p rcpn-bench --release --bin figures -- fig10 --scale 0.2
-//! cargo run -p rcpn-bench --release --bin figures -- fig10 --cache .rcpn-cache
 //! ```
 //!
 //! Subcommands: `fig10` (simulation performance), `fig11` (CPI), `fig2`
 //! (RCPN vs CPN model size), `ablations` (Section 4 optimizations),
-//! `effort` (Section 5 model statistics), `all`. With `--cache DIR`,
-//! `fig10` reloads each RCPN simulator from the artifact cache instead of
-//! recompiling its model (compiling and storing on a first run).
+//! `effort` (Section 5 model statistics), `all`.
 
 use processors::sim::{CaSim, ProcModel};
-use rcpn::artifact::ArtifactCache;
 use rcpn_bench::{
-    ablation_configs, average, compiled_sim_cached, measure, measure_ablation, measure_compiled,
-    suite, Simulator,
+    ablation_configs, average, compiled_sim, measure, measure_ablation, measure_compiled, suite,
+    Simulator,
 };
 use workloads::{Kernel, Workload};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = 1.0f64;
-    let mut cache_dir: Option<String> = None;
     let mut cmds: Vec<String> = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -31,19 +26,15 @@ fn main() {
             "--scale" => {
                 scale = it.next().and_then(|s| s.parse().ok()).expect("--scale needs a number");
             }
-            "--cache" => {
-                cache_dir = Some(it.next().expect("--cache needs a directory").clone());
-            }
             c => cmds.push(c.to_string()),
         }
     }
     if cmds.is_empty() {
         cmds.push("all".to_string());
     }
-    let cache = cache_dir.map(|d| ArtifactCache::open(d).expect("open artifact cache"));
     for c in &cmds {
         match c.as_str() {
-            "fig10" => fig10(scale, cache.as_ref()),
+            "fig10" => fig10(scale),
             "fig11" => fig11(scale),
             "fig2" => fig2(),
             "ablations" => ablations(scale),
@@ -53,7 +44,7 @@ fn main() {
                 effort();
                 fig11(scale);
                 ablations(scale);
-                fig10(scale, cache.as_ref());
+                fig10(scale);
             }
             other => {
                 eprintln!("unknown figure {other:?}; try fig10|fig11|fig2|ablations|effort|all");
@@ -89,34 +80,23 @@ fn print_table(rows: &[(&str, Vec<f64>)], prec: usize) {
 }
 
 /// Figure 10: simulation performance (million simulated cycles per host
-/// second) of the baseline and every RCPN-generated simulator. With a
-/// cache, each RCPN simulator is compiled (or reloaded) once per process
-/// and shared across the kernel columns.
-fn fig10(scale: f64, cache: Option<&ArtifactCache>) {
+/// second) of the baseline and every RCPN-generated simulator. Each RCPN
+/// simulator is compiled once and shared across the kernel columns.
+fn fig10(scale: f64) {
     header("Figure 10 — Simulation performance (Mcycles/s)");
     println!("(workload scale {scale}; paper: SimpleScalar ~0.6, RCPN-XScale ~8.2, RCPN-StrongArm ~12.2 on a P4/1.8GHz)");
     let ws = suite(scale);
     let mut rows = Vec::new();
     for sim in Simulator::FIG10 {
-        let cached =
-            cache.and_then(|c| compiled_sim_cached(sim, c).expect("artifact cache reload"));
+        let compiled = compiled_sim(sim);
         let values: Vec<f64> = ws
             .iter()
-            .map(|w| match &cached {
+            .map(|w| match &compiled {
                 Some(compiled) => measure_compiled(compiled, w).mcps(),
                 None => measure(sim, w).mcps(),
             })
             .collect();
         rows.push((sim.name(), values));
-    }
-    if let Some(c) = cache {
-        println!(
-            "artifact cache {}: {} hits, {} misses, {} bypasses",
-            c.dir().display(),
-            c.hits(),
-            c.misses(),
-            c.bypasses(),
-        );
     }
     print_table(&rows, 2);
     let avg_of = |name: &str| {

@@ -3,7 +3,6 @@
 //! ```text
 //! rcpn-run FILE.elf                          # all registry models
 //! rcpn-run FILE.elf --model xscale           # one model
-//! rcpn-run FILE.elf --cache .rcpn-cache      # reload compiled models from disk
 //! rcpn-run FILE.elf --expect 55edf412        # exit checksum gate (exit 1 on mismatch)
 //! rcpn-run FILE.elf --input data.bin         # bytes served to `swi #4` (GETC)
 //! rcpn-run FILE.elf --max-cycles 100000000   # cycle budget (default 1e9)
@@ -13,20 +12,16 @@
 //! derived memory layout as every harness — and each selected
 //! [`ProcModel`] registry variant runs it to completion, printing the
 //! architectural result, the engine [`Stats`](rcpn::stats::Stats) and the
-//! scheduler [`SchedStats`](rcpn::stats::SchedStats). With `--cache`,
-//! compiled models come from the artifact
-//! cache, so repeat runs recompile nothing.
+//! scheduler [`SchedStats`](rcpn::stats::SchedStats).
 
 use std::process::ExitCode;
 
 use processors::sim::{CompiledSim, ProcModel};
-use rcpn::artifact::ArtifactCache;
 use rcpn_loader::{load_elf, LoadedImage};
 
 struct Args {
     file: String,
     model: Option<String>,
-    cache: Option<String>,
     input: Option<String>,
     expect: Option<u32>,
     max_cycles: u64,
@@ -34,8 +29,8 @@ struct Args {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: rcpn-run FILE.elf [--model LABEL|all] [--cache DIR] \
-         [--input FILE] [--expect HEX] [--max-cycles N]"
+        "usage: rcpn-run FILE.elf [--model LABEL|all] [--input FILE] \
+         [--expect HEX] [--max-cycles N]"
     );
     ExitCode::from(2)
 }
@@ -44,7 +39,6 @@ fn parse_args() -> Result<Args, ExitCode> {
     let mut args = Args {
         file: String::new(),
         model: None,
-        cache: None,
         input: None,
         expect: None,
         max_cycles: 1_000_000_000,
@@ -53,7 +47,6 @@ fn parse_args() -> Result<Args, ExitCode> {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--model" => args.model = Some(it.next().ok_or_else(usage)?),
-            "--cache" => args.cache = Some(it.next().ok_or_else(usage)?),
             "--input" => args.input = Some(it.next().ok_or_else(usage)?),
             "--expect" => {
                 let hex = it.next().ok_or_else(usage)?;
@@ -160,32 +153,10 @@ fn main() -> ExitCode {
         Ok(m) => m,
         Err(code) => return code,
     };
-    let cache = match &args.cache {
-        Some(dir) => match ArtifactCache::open(dir) {
-            Ok(c) => Some(c),
-            Err(e) => {
-                eprintln!("rcpn-run: cache {dir}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
-    };
 
     let mut failed = false;
     for model in models {
-        let config = model.default_config();
-        let compiled = match &cache {
-            Some(c) => match CompiledSim::load_or_compile(model, &config, c) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("rcpn-run: {}: {e}", model.label());
-                    failed = true;
-                    continue;
-                }
-            },
-            None => CompiledSim::new(model, &config),
-        };
-        let mut sim = compiled.instantiate_image(&image);
+        let mut sim = CompiledSim::of(model).instantiate_image(&image);
         if !input.is_empty() {
             sim.set_input(input.clone());
         }
@@ -236,14 +207,6 @@ fn main() -> ExitCode {
         println!(
             "sched: place visits {} skips {}  superblocks {}  ops inlined {}",
             sched.place_visits, sched.place_skips, sched.superblocks_entered, sched.ops_inlined
-        );
-    }
-    if let Some(c) = &cache {
-        println!(
-            "cache: {} hit(s), {} miss(es), {} bypass(es)",
-            c.hits(),
-            c.misses(),
-            c.bypasses()
         );
     }
     if failed {

@@ -6,19 +6,13 @@
 //! cargo run --bin sweep -- --scale 0.2     # larger workloads
 //! cargo run --bin sweep -- --workers 4     # explicit worker count
 //! cargo run --bin sweep -- --out BENCH_sweep.json
-//! cargo run --bin sweep -- --cache .rcpn-cache   # reuse compiled artifacts
 //! ```
 //!
 //! Every engine variant is compiled once; the batch runners instantiate
-//! engines from the shared artifacts. With `--cache DIR`, variants are
-//! reloaded from the artifact cache when possible (compiled and stored on
-//! a miss; the closure-lowered ablation row is unserializable and always
-//! bypasses), and the hit/miss/bypass counters land in the JSON summary.
-//! The binary always runs the matrix twice — once on one worker, once on N
-//! — asserts the two runs are bit-identical, and records the wall-clock
-//! comparison in the JSON file.
+//! engines from the shared artifacts. The binary always runs the matrix
+//! twice — once on one worker, once on N — asserts the two runs are
+//! bit-identical, and records the wall-clock comparison in the JSON file.
 
-use rcpn::artifact::ArtifactCache;
 use rcpn::batch::BatchRunner;
 use rcpn_bench::sweep::{render_json, Sweep};
 
@@ -28,7 +22,6 @@ fn main() {
     // single-CPU host (the speedup column then honestly reports ~1x).
     let mut workers = BatchRunner::host_parallel().workers().max(2);
     let mut out = Some("BENCH_sweep.json".to_string());
-    let mut cache_dir: Option<String> = None;
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -43,25 +36,18 @@ fn main() {
                 out = Some(it.next().expect("--out needs a path").clone());
             }
             "--no-out" => out = None,
-            "--cache" => {
-                cache_dir = Some(it.next().expect("--cache needs a directory").clone());
-            }
             other => {
                 eprintln!(
                     "unknown argument {other:?}; try --scale N | --workers N | --out PATH | \
-                     --no-out | --cache DIR"
+                     --no-out"
                 );
                 std::process::exit(2);
             }
         }
     }
 
-    let cache = cache_dir.map(|d| ArtifactCache::open(d).expect("open artifact cache"));
     let t0 = std::time::Instant::now();
-    let sweep = match &cache {
-        Some(c) => Sweep::new_cached(scale, c).expect("cached sweep build"),
-        None => Sweep::new(scale),
-    };
+    let sweep = Sweep::new(scale);
     println!(
         "matrix: {} engine variants x {} workloads = {} jobs (compiled in {:.2}s)",
         sweep.variants.len(),
@@ -69,15 +55,6 @@ fn main() {
         sweep.len(),
         t0.elapsed().as_secs_f64(),
     );
-    if let Some(c) = &cache {
-        println!(
-            "artifact cache {}: {} hits, {} misses, {} bypasses",
-            c.dir().display(),
-            c.hits(),
-            c.misses(),
-            c.bypasses(),
-        );
-    }
 
     let serial = sweep.run(&BatchRunner::new(1));
     let parallel = sweep.run(&BatchRunner::new(workers));
@@ -114,8 +91,7 @@ fn main() {
     );
 
     if let Some(path) = out {
-        std::fs::write(&path, render_json(&serial, &parallel, cache.as_ref()))
-            .expect("write sweep record");
+        std::fs::write(&path, render_json(&serial, &parallel)).expect("write sweep record");
         println!("recorded {path}");
     }
 }

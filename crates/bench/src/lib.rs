@@ -25,7 +25,6 @@ use arm_isa::iss::Iss;
 use baseline_sim::SsArm;
 use processors::res::SimConfig;
 use processors::sim::{CompiledSim, ProcModel};
-use rcpn::artifact::{ArtifactCache, ArtifactError};
 use rcpn::engine::{EngineConfig, SchedulerMode, TableMode};
 use workloads::Workload;
 
@@ -206,27 +205,6 @@ fn rcpn_sim_config(sim: Simulator) -> Option<(ProcModel, SimConfig)> {
 pub fn compiled_sim(sim: Simulator) -> Option<CompiledSim> {
     let (proc, config) = rcpn_sim_config(sim)?;
     Some(CompiledSim::new(proc, &config))
-}
-
-/// Like [`compiled_sim`], but served through an artifact cache: a hit
-/// reloads the stored artifact instead of recompiling, a miss compiles
-/// and stores, and the closure-lowered ablation row (unserializable)
-/// compiles without touching the store. `Ok(None)` for the non-RCPN
-/// comparators.
-///
-/// # Errors
-///
-/// Propagates any [`ArtifactError`] other than a decode failure (which
-/// falls back to a fresh compile) — in practice I/O errors writing the
-/// cache directory.
-pub fn compiled_sim_cached(
-    sim: Simulator,
-    cache: &ArtifactCache,
-) -> Result<Option<CompiledSim>, ArtifactError> {
-    match rcpn_sim_config(sim) {
-        Some((proc, config)) => CompiledSim::load_or_compile(proc, &config, cache).map(Some),
-        None => Ok(None),
-    }
 }
 
 /// Runs one instantiation of a compiled simulator over one workload,

@@ -18,7 +18,7 @@
 //! * **rate deltas** — `mcps` changes beyond a relative tolerance
 //!   (host-timing noise makes exact rate comparison meaningless);
 //! * **counter deltas** — every other integer field (`place_visits`,
-//!   `superblocks_entered`, cache counters, …), aggregated per variant.
+//!   `superblocks_entered`, …), aggregated per variant.
 //!   Counters are collected *generically*: a future sweep field flows
 //!   into diffs without touching this module.
 //!
@@ -206,13 +206,6 @@ pub struct RecordRow {
 pub struct RecordSummary {
     /// Number of jobs in the sweep.
     pub jobs: u64,
-    /// Artifact-cache hits during sweep construction (0 when the record
-    /// predates caching or ran cacheless).
-    pub cache_hits: u64,
-    /// Artifact-cache misses.
-    pub cache_misses: u64,
-    /// Artifact-cache bypasses.
-    pub cache_bypasses: u64,
     /// Whether the serial and parallel runs were bit-identical.
     pub identical: bool,
 }
@@ -296,15 +289,11 @@ impl SweepRecord {
         line: usize,
         obj: &BTreeMap<String, Value>,
     ) -> Result<RecordSummary, RecordError> {
-        let opt_u64 = |key: &str| obj.get(key).and_then(Value::as_u64).unwrap_or(0);
         Ok(RecordSummary {
             jobs: obj
                 .get("jobs")
                 .and_then(Value::as_u64)
                 .ok_or_else(|| err(line, "missing integer field \"jobs\""))?,
-            cache_hits: opt_u64("cache_hits"),
-            cache_misses: opt_u64("cache_misses"),
-            cache_bypasses: opt_u64("cache_bypasses"),
             identical: obj
                 .get("identical")
                 .and_then(|v| match v {
@@ -364,8 +353,6 @@ pub struct SweepDiff {
     /// Per-variant counter aggregates that changed (shared rows only, so
     /// coverage drift doesn't masquerade as counter drift).
     pub counters: Vec<CounterDelta>,
-    /// Old and new summary cache counters `(hits, misses, bypasses)`.
-    pub cache: ((u64, u64, u64), (u64, u64, u64)),
     /// The relative mcps tolerance the diff was computed with.
     pub tolerance: f64,
 }
@@ -421,18 +408,12 @@ impl SweepDiff {
             .map(|((variant, counter), totals)| CounterDelta { variant, counter, totals })
             .collect();
 
-        let cache = (
-            (old.summary.cache_hits, old.summary.cache_misses, old.summary.cache_bypasses),
-            (new.summary.cache_hits, new.summary.cache_misses, new.summary.cache_bypasses),
-        );
-        SweepDiff { added, removed, timing, rates, counters, cache, tolerance }
+        SweepDiff { added, removed, timing, rates, counters, tolerance }
     }
 
     /// True when the records agree on everything the diff inspects:
     /// same row set, identical timing, no rate move beyond tolerance,
-    /// identical counter aggregates. (Summary cache counters are
-    /// reported but do not affect zero-ness — a warm and a cold run of
-    /// the same code legitimately differ there.)
+    /// identical counter aggregates.
     pub fn is_zero(&self) -> bool {
         self.added.is_empty()
             && self.removed.is_empty()
@@ -501,13 +482,6 @@ impl SweepDiff {
                 out.push_str(&format!("  {} {}: {} -> {}\n", c.variant, c.counter, a, b));
             }
         }
-        let (oc, nc) = self.cache;
-        if oc != nc {
-            out.push_str(&format!(
-                "cache counters: {}h/{}m/{}b -> {}h/{}m/{}b (informational)\n",
-                oc.0, oc.1, oc.2, nc.0, nc.1, nc.2
-            ));
-        }
         out
     }
 }
@@ -541,7 +515,6 @@ mod tests {
         // cpi/job_seconds/mcps are floats, not counters.
         assert!(!rec.rows[0].counters.contains_key("cpi"));
         assert_eq!(rec.summary.jobs, 2);
-        assert_eq!(rec.summary.cache_hits, 1);
         assert!(rec.summary.identical);
     }
 

@@ -18,7 +18,6 @@ use std::time::Instant;
 
 use processors::res::SimConfig;
 use processors::sim::{CompiledSim, ProcModel};
-use rcpn::artifact::{ArtifactCache, ArtifactError};
 use rcpn::batch::{merge_stats, BatchRunner};
 use rcpn::engine::{EngineConfig, SchedulerMode, TableMode};
 use rcpn::spec::Lowering;
@@ -163,49 +162,11 @@ impl Sweep {
         Sweep { variants, artifacts, workloads, jobs }
     }
 
-    /// [`Sweep::new`] with engine variants reloaded from (or stored into)
-    /// an artifact cache instead of recompiled — see
-    /// [`Sweep::with_cached`].
-    ///
-    /// # Errors
-    ///
-    /// [`ArtifactError::Io`] when a freshly compiled artifact cannot be
-    /// stored into the cache.
-    pub fn new_cached(scale: f64, cache: &ArtifactCache) -> Result<Sweep, ArtifactError> {
-        Sweep::with_cached(engine_axis(), Workload::matrix(&Kernel::ALL, &[scale]), cache)
-    }
-
-    /// [`Sweep::with`], but each engine variant goes through
-    /// [`CompiledSim::load_or_compile`]: reloaded from `cache` when a
-    /// valid artifact exists, compiled and stored otherwise.
-    /// Unserializable variants (closure lowering) are compiled directly
-    /// and counted as cache bypasses. Read the cache's hit/miss/bypass
-    /// counters afterwards to see what happened; [`render_json`] records
-    /// them in the sweep summary.
-    ///
-    /// # Errors
-    ///
-    /// [`ArtifactError::Io`] when a freshly compiled artifact cannot be
-    /// stored into the cache.
-    pub fn with_cached(
-        variants: Vec<EngineVariant>,
-        workloads: Vec<Workload>,
-        cache: &ArtifactCache,
-    ) -> Result<Sweep, ArtifactError> {
-        let artifacts = variants
-            .iter()
-            .map(|v| CompiledSim::load_or_compile(v.proc, &v.sim_config(), cache))
-            .collect::<Result<Vec<_>, _>>()?;
-        let jobs =
-            (0..variants.len()).flat_map(|v| (0..workloads.len()).map(move |w| (v, w))).collect();
-        Ok(Sweep { variants, artifacts, workloads, jobs })
-    }
-
     /// Assembles a sweep over *already compiled* artifacts — no
-    /// compilation, no cache traffic. This is the constructor the
-    /// `rcpn-serve` job server uses to record a sweep from the models it
-    /// warmed at bind time: the variants supply the row labels, the
-    /// index-aligned artifacts supply the engines.
+    /// compilation. This is the constructor the `rcpn-serve` job server
+    /// uses to record a sweep from the models it warmed at bind time: the
+    /// variants supply the row labels, the index-aligned artifacts supply
+    /// the engines.
     ///
     /// # Panics
     ///
@@ -382,20 +343,14 @@ impl SweepRun {
 
 /// Renders the sweep record as JSON lines (the `BENCH_*.json` house
 /// format): one `"sweep"` row per job, then one `"sweep-summary"` row
-/// with the serial-vs-parallel wall-clock measurement and — when the
-/// sweep was built through an artifact cache — the cache's
-/// hit/miss/bypass counters.
+/// with the serial-vs-parallel wall-clock measurement.
 ///
 /// Per-job rows (and their `job_seconds`/`mcps` timing) come from the
 /// **serial** run: under parallel execution the workers time-share cores,
 /// so parallel per-job clocks would understate real single-run speed.
 /// The two runs' simulation results are asserted identical elsewhere; the
 /// parallel run contributes only its wall clock and worker count.
-pub fn render_json(
-    serial: &SweepRun,
-    parallel: &SweepRun,
-    cache: Option<&ArtifactCache>,
-) -> String {
+pub fn render_json(serial: &SweepRun, parallel: &SweepRun) -> String {
     let mut out = String::new();
     for row in &serial.rows {
         let mcps = row.cycles as f64 / row.seconds / 1.0e6;
@@ -429,18 +384,10 @@ pub fn render_json(
         ));
     }
     let speedup = serial.wall_seconds / parallel.wall_seconds;
-    let cache_fields = cache.map_or(String::new(), |c| {
-        format!(
-            ",\"cache_hits\":{},\"cache_misses\":{},\"cache_bypasses\":{}",
-            c.hits(),
-            c.misses(),
-            c.bypasses(),
-        )
-    });
     out.push_str(&format!(
         "{{\"group\":\"sweep-summary\",\"jobs\":{},\"workers\":{},\"total_cycles\":{},\
          \"total_retired\":{},\"serial_seconds\":{:.6},\"parallel_seconds\":{:.6},\
-         \"speedup\":{:.3}{cache_fields},\"identical\":{}}}\n",
+         \"speedup\":{:.3},\"identical\":{}}}\n",
         parallel.rows.len(),
         parallel.workers,
         parallel.total_cycles(),
@@ -606,54 +553,9 @@ mod tests {
         let s = tiny_sweep();
         let run = s.run(&BatchRunner::new(2));
         let serial = s.run(&BatchRunner::new(1));
-        let json = render_json(&serial, &run, None);
+        let json = render_json(&serial, &run);
         assert_eq!(json.lines().count(), s.len() + 1);
         assert!(json.contains("\"group\":\"sweep-summary\""));
         assert!(json.contains("\"identical\":true"));
-        assert!(!json.contains("cache_hits"), "no cache fields without a cache");
-    }
-
-    /// A cached sweep populates the artifact cache on its first build
-    /// (misses + one bypass for the unserializable closure row), reloads
-    /// 100% on the second, and both simulate bit-identically to an
-    /// uncached compile.
-    #[test]
-    fn cached_sweep_reloads_bit_identically() {
-        let dir = std::env::temp_dir().join(format!("rcpn-sweep-cache-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let variants = || {
-            vec![
-                EngineVariant::new(
-                    ProcModel::StrongArm,
-                    "tables:per-place-class",
-                    Default::default(),
-                ),
-                EngineVariant {
-                    label: "strongarm/dispatch:closures".to_string(),
-                    proc: ProcModel::StrongArm,
-                    engine: EngineConfig { superblocks: false, ..Default::default() },
-                    lowering: Lowering::Closures,
-                },
-            ]
-        };
-        let workloads = || Workload::matrix(&[Kernel::Crc], &[0.0]);
-        let fresh = Sweep::with(variants(), workloads()).run(&BatchRunner::new(1));
-
-        let cache = ArtifactCache::open(&dir).expect("cache dir");
-        let first = Sweep::with_cached(variants(), workloads(), &cache).expect("populate");
-        assert_eq!((cache.hits(), cache.misses(), cache.bypasses()), (0, 1, 1));
-        let second = Sweep::with_cached(variants(), workloads(), &cache).expect("reload");
-        assert_eq!((cache.hits(), cache.misses(), cache.bypasses()), (1, 1, 2));
-
-        let from_store = first.run(&BatchRunner::new(1));
-        let from_reload = second.run(&BatchRunner::new(1));
-        assert!(fresh.simulation_identical(&from_store), "stored compile diverged");
-        assert!(fresh.simulation_identical(&from_reload), "reloaded artifact diverged");
-
-        let json = render_json(&from_reload, &from_reload, Some(&cache));
-        assert!(json.contains("\"cache_hits\":1"));
-        assert!(json.contains("\"cache_misses\":1"));
-        assert!(json.contains("\"cache_bypasses\":2"));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -3,12 +3,11 @@
 //! `assemble → to_elf_bytes → load_elf → run` must be **bit-identical**
 //! to the in-process path — same trace, same `Stats`, same `SchedStats`,
 //! same final registers, same architectural result — and a committed
-//! golden `.elf` driven through the artifact cache (the `rcpn-run` path)
-//! must reproduce its kernel's gold checksum.
+//! golden `.elf` driven the way `rcpn-run` drives it must reproduce its
+//! kernel's gold checksum.
 
 use arm_isa::program::MemLayout;
 use processors::sim::{CaSim, CompiledSim, ProcModel};
-use rcpn::artifact::ArtifactCache;
 use rcpn::engine::TraceEvent;
 use rcpn::stats::{SchedStats, Stats};
 use rcpn_loader::{load_elf, ProgramToElf};
@@ -86,18 +85,13 @@ fn all_models_all_kernels_roundtrip_bit_identically() {
 }
 
 /// The `rcpn-run` path on committed binaries: load each golden `.elf`
-/// from `crates/workloads/fixtures/`, run it through the artifact cache,
-/// and require the kernel's gold checksum.
+/// from `crates/workloads/fixtures/`, run it on each registry model
+/// compiled once, and require the kernel's gold checksum.
 #[test]
-fn committed_fixtures_reproduce_gold_checksums_through_the_cache() {
-    let dir = std::env::temp_dir().join(format!("rcpn-elf-cache-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    let cache = ArtifactCache::open(&dir).expect("open cache");
+fn committed_fixtures_reproduce_gold_checksums() {
     let fixtures = concat!(env!("CARGO_MANIFEST_DIR"), "/../workloads/fixtures");
     for model in ProcModel::ALL {
-        let config = model.default_config();
-        let sim = CompiledSim::load_or_compile(model, &config, &cache).expect("compile or reload");
+        let sim = CompiledSim::of(model);
         for &kernel in Kernel::ALL.iter() {
             let w = Workload::build(kernel, kernel.test_size());
             let path = format!("{fixtures}/{}.elf", kernel.name());
@@ -116,6 +110,4 @@ fn committed_fixtures_reproduce_gold_checksums_through_the_cache() {
             assert_eq!(run.unknown_swis(), 0, "{}/{kernel}: unknown SWIs", model.figure_name());
         }
     }
-    assert_eq!(cache.misses(), 3, "one compile per registry model");
-    std::fs::remove_dir_all(&dir).ok();
 }

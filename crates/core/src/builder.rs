@@ -50,9 +50,8 @@ use crate::error::BuildError;
 use crate::ids::{OpClassId, PlaceId, SourceId, StageId, SubnetId, TransitionId};
 use crate::ir::{MicroOp, Program};
 use crate::model::{
-    Action, ActionKind, Fx, Guard, GuardKind, Hooks, Machine, Model, NamedHook, OpClassDef,
-    PlaceDef, ResArc, SourceAction, SourceDef, SourceGuard, StageDef, SubnetDef, TransitionDef,
-    UNLIMITED,
+    Action, ActionKind, Fx, Guard, GuardKind, Hooks, Machine, Model, OpClassDef, PlaceDef, ResArc,
+    SourceAction, SourceDef, SourceGuard, StageDef, SubnetDef, TransitionDef, UNLIMITED,
 };
 
 /// Builder for [`Model`]. See the [module documentation](self) for an
@@ -68,7 +67,6 @@ pub struct ModelBuilder<D, R> {
     end_stage: StageId,
     end_place: PlaceId,
     squash_handler: Option<crate::model::SquashHandler<D, R>>,
-    squash_name: Option<NamedHook>,
 }
 
 impl<D, R> ModelBuilder<D, R> {
@@ -88,7 +86,6 @@ impl<D, R> ModelBuilder<D, R> {
             end_stage: StageId::from_index(0),
             end_place: PlaceId::from_index(0),
             squash_handler: None,
-            squash_name: None,
         };
         b.stages.push(StageDef { name: "end".to_string(), capacity: UNLIMITED, is_end: true });
         b.places.push(PlaceDef { name: "end".to_string(), stage: b.end_stage, delay: 0 });
@@ -175,8 +172,6 @@ impl<D, R> ModelBuilder<D, R> {
                 reservations: Vec::new(),
                 delay: 0,
                 reads_states: Vec::new(),
-                guard_name: None,
-                action_name: None,
             },
             has_input: false,
             has_dest: false,
@@ -193,8 +188,6 @@ impl<D, R> ModelBuilder<D, R> {
             guard: None,
             produce: None,
             max_per_cycle: 1,
-            guard_name: None,
-            produce_name: None,
         }
     }
 
@@ -202,18 +195,6 @@ impl<D, R> ModelBuilder<D, R> {
     /// by a flush (squash); see [`crate::model::SquashHandler`].
     pub fn on_squash(&mut self, handler: impl Fn(&mut Machine<R>, &mut D) + Send + Sync + 'static) {
         self.squash_handler = Some(Box::new(handler));
-        self.squash_name = None;
-    }
-
-    /// [`ModelBuilder::on_squash`] plus a stable registry name, keeping the
-    /// model serializable (see [`crate::artifact`]).
-    pub fn on_squash_named(
-        &mut self,
-        name: NamedHook,
-        handler: impl Fn(&mut Machine<R>, &mut D) + Send + Sync + 'static,
-    ) {
-        self.squash_handler = Some(Box::new(handler));
-        self.squash_name = Some(name);
     }
 
     /// Registers a guard hook in the model's [`Hooks`] table and returns
@@ -224,20 +205,7 @@ impl<D, R> ModelBuilder<D, R> {
         guard: impl Fn(&Machine<R>, &D) -> bool + Send + Sync + 'static,
     ) -> u32 {
         self.hooks.guards.push(Box::new(guard));
-        self.hooks.guard_names.push(None);
         (self.hooks.guards.len() - 1) as u32
-    }
-
-    /// [`ModelBuilder::hook_guard`] plus a stable registry name, keeping the
-    /// model serializable (see [`crate::artifact`]).
-    pub fn hook_guard_named(
-        &mut self,
-        name: NamedHook,
-        guard: impl Fn(&Machine<R>, &D) -> bool + Send + Sync + 'static,
-    ) -> u32 {
-        let idx = self.hook_guard(guard);
-        self.hooks.guard_names[idx as usize] = Some(name);
-        idx
     }
 
     /// Registers an action hook in the model's [`Hooks`] table and returns
@@ -248,20 +216,7 @@ impl<D, R> ModelBuilder<D, R> {
         action: impl Fn(&mut Machine<R>, &mut D, &mut Fx<D>) + Send + Sync + 'static,
     ) -> u32 {
         self.hooks.actions.push(Box::new(action));
-        self.hooks.action_names.push(None);
         (self.hooks.actions.len() - 1) as u32
-    }
-
-    /// [`ModelBuilder::hook_action`] plus a stable registry name, keeping
-    /// the model serializable (see [`crate::artifact`]).
-    pub fn hook_action_named(
-        &mut self,
-        name: NamedHook,
-        action: impl Fn(&mut Machine<R>, &mut D, &mut Fx<D>) + Send + Sync + 'static,
-    ) -> u32 {
-        let idx = self.hook_action(action);
-        self.hooks.action_names[idx as usize] = Some(name);
-        idx
     }
 
     /// Validates the net and computes the static analysis, producing an
@@ -483,7 +438,6 @@ impl<D, R> ModelBuilder<D, R> {
             hooks: self.hooks,
             analysis,
             squash_handler: self.squash_handler,
-            squash_name: self.squash_name,
         })
     }
 }
@@ -543,19 +497,6 @@ impl<'b, D, R> TransitionBuilder<'b, D, R> {
         guard: impl Fn(&Machine<R>, &D) -> bool + Send + Sync + 'static,
     ) -> Self {
         self.def.guard = Some(GuardKind::Closure(Box::new(guard) as Guard<D, R>));
-        self.def.guard_name = None;
-        self
-    }
-
-    /// [`TransitionBuilder::guard`] plus a stable registry name, keeping
-    /// the model serializable (see [`crate::artifact`]).
-    pub fn guard_named(
-        mut self,
-        name: NamedHook,
-        guard: impl Fn(&Machine<R>, &D) -> bool + Send + Sync + 'static,
-    ) -> Self {
-        self.def.guard = Some(GuardKind::Closure(Box::new(guard) as Guard<D, R>));
-        self.def.guard_name = Some(name);
         self
     }
 
@@ -574,19 +515,6 @@ impl<'b, D, R> TransitionBuilder<'b, D, R> {
         action: impl Fn(&mut Machine<R>, &mut D, &mut Fx<D>) + Send + Sync + 'static,
     ) -> Self {
         self.def.action = Some(ActionKind::Closure(Box::new(action) as Action<D, R>));
-        self.def.action_name = None;
-        self
-    }
-
-    /// [`TransitionBuilder::action`] plus a stable registry name, keeping
-    /// the model serializable (see [`crate::artifact`]).
-    pub fn action_named(
-        mut self,
-        name: NamedHook,
-        action: impl Fn(&mut Machine<R>, &mut D, &mut Fx<D>) + Send + Sync + 'static,
-    ) -> Self {
-        self.def.action = Some(ActionKind::Closure(Box::new(action) as Action<D, R>));
-        self.def.action_name = Some(name);
         self
     }
 
@@ -646,8 +574,6 @@ pub struct SourceBuilder<'b, D, R> {
     guard: Option<SourceGuard<R>>,
     produce: Option<SourceAction<D, R>>,
     max_per_cycle: u32,
-    guard_name: Option<NamedHook>,
-    produce_name: Option<NamedHook>,
 }
 
 impl<'b, D, R> SourceBuilder<'b, D, R> {
@@ -661,19 +587,6 @@ impl<'b, D, R> SourceBuilder<'b, D, R> {
     /// destination stage has capacity).
     pub fn guard(mut self, guard: impl Fn(&Machine<R>) -> bool + Send + Sync + 'static) -> Self {
         self.guard = Some(Box::new(guard) as SourceGuard<R>);
-        self.guard_name = None;
-        self
-    }
-
-    /// [`SourceBuilder::guard`] plus a stable registry name, keeping the
-    /// model serializable (see [`crate::artifact`]).
-    pub fn guard_named(
-        mut self,
-        name: NamedHook,
-        guard: impl Fn(&Machine<R>) -> bool + Send + Sync + 'static,
-    ) -> Self {
-        self.guard = Some(Box::new(guard) as SourceGuard<R>);
-        self.guard_name = Some(name);
         self
     }
 
@@ -684,19 +597,6 @@ impl<'b, D, R> SourceBuilder<'b, D, R> {
         produce: impl Fn(&mut Machine<R>, &mut Fx<D>) -> Option<D> + Send + Sync + 'static,
     ) -> Self {
         self.produce = Some(Box::new(produce) as SourceAction<D, R>);
-        self.produce_name = None;
-        self
-    }
-
-    /// [`SourceBuilder::produce`] plus a stable registry name, keeping the
-    /// model serializable (see [`crate::artifact`]).
-    pub fn produce_named(
-        mut self,
-        name: NamedHook,
-        produce: impl Fn(&mut Machine<R>, &mut Fx<D>) -> Option<D> + Send + Sync + 'static,
-    ) -> Self {
-        self.produce = Some(Box::new(produce) as SourceAction<D, R>);
-        self.produce_name = Some(name);
         self
     }
 
@@ -721,8 +621,6 @@ impl<'b, D, R> SourceBuilder<'b, D, R> {
             guard: self.guard,
             produce,
             max_per_cycle: self.max_per_cycle,
-            guard_name: self.guard_name,
-            produce_name: self.produce_name,
         });
         SourceId::from_index(self.parent.sources.len() - 1)
     }

@@ -74,7 +74,6 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
-pub mod artifact;
 pub mod batch;
 pub mod builder;
 pub mod compiled;
@@ -91,7 +90,6 @@ pub mod token;
 
 /// The most commonly used items, for glob import.
 pub mod prelude {
-    pub use crate::artifact::{ArtifactCache, ArtifactError, HookRegistry};
     pub use crate::batch::BatchRunner;
     pub use crate::builder::ModelBuilder;
     pub use crate::compiled::CompiledModel;

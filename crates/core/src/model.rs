@@ -27,57 +27,6 @@ use crate::reg::RegisterFile;
 /// Unlimited stage capacity (used by the virtual `end` stage).
 pub const UNLIMITED: u32 = u32::MAX;
 
-/// Arguments a named-hook factory receives when a closure is reconstructed
-/// from a serialized artifact (see [`crate::artifact`]).
-///
-/// Spec-lowered closures capture per-step context — the forwarding window,
-/// the flush set, the step's input/destination places. When such a closure
-/// is registered under a stable name, that captured context is recorded
-/// here so the registry factory can rebuild an equivalent closure on
-/// reload without recompiling anything.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct HookArgs {
-    /// Places the closure reads forwarded results from (the step's
-    /// forwarding window, in model order).
-    pub fwd: Vec<PlaceId>,
-    /// Places the closure flushes on a redirect (the step's squash set).
-    pub flush: Vec<PlaceId>,
-    /// The step's input place, when the closure depends on it.
-    pub from: Option<PlaceId>,
-    /// The step's destination place, when the closure depends on it.
-    pub to: Option<PlaceId>,
-}
-
-/// A stable reference to an escape-hatch closure: a registry key plus the
-/// captured [`HookArgs`] needed to reconstruct it.
-///
-/// Closures themselves cannot be serialized; a model whose every closure
-/// carries a `NamedHook` can. The artifact encoder stores `(key, args)` and
-/// the decoder asks a [`crate::artifact::HookRegistry`] to rebuild the
-/// closure. Models register names through the `*_named` builder and spec
-/// methods; unnamed closures keep working but make the model unserializable.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NamedHook {
-    /// The registry key (e.g. `"arm.fetch_produce"`). Keys are a stable
-    /// public contract: renaming one invalidates every artifact that
-    /// references it.
-    pub key: String,
-    /// Captured per-step context the factory rebuilds the closure from.
-    pub args: HookArgs,
-}
-
-impl NamedHook {
-    /// A named hook with no captured context.
-    pub fn new(key: impl Into<String>) -> Self {
-        NamedHook { key: key.into(), args: HookArgs::default() }
-    }
-
-    /// A named hook with captured per-step context.
-    pub fn with_args(key: impl Into<String>, args: HookArgs) -> Self {
-        NamedHook { key: key.into(), args }
-    }
-}
-
 /// The machine state visible to guards and actions: the register file plus
 /// model-specific resources `R` (memory, caches, branch predictor, PC, ...).
 ///
@@ -199,18 +148,11 @@ impl<D, R> std::fmt::Debug for ActionKind<D, R> {
 pub struct Hooks<D, R> {
     pub(crate) guards: Vec<Guard<D, R>>,
     pub(crate) actions: Vec<Action<D, R>>,
-    pub(crate) guard_names: Vec<Option<NamedHook>>,
-    pub(crate) action_names: Vec<Option<NamedHook>>,
 }
 
 impl<D, R> Hooks<D, R> {
     pub(crate) fn new() -> Self {
-        Hooks {
-            guards: Vec::new(),
-            actions: Vec::new(),
-            guard_names: Vec::new(),
-            action_names: Vec::new(),
-        }
+        Hooks { guards: Vec::new(), actions: Vec::new() }
     }
 
     /// Number of registered guard hooks.
@@ -387,8 +329,6 @@ pub struct TransitionDef<D, R> {
     pub(crate) reservations: Vec<ResArc>,
     pub(crate) delay: u32,
     pub(crate) reads_states: Vec<PlaceId>,
-    pub(crate) guard_name: Option<NamedHook>,
-    pub(crate) action_name: Option<NamedHook>,
 }
 
 impl<D, R> TransitionDef<D, R> {
@@ -457,8 +397,6 @@ pub struct SourceDef<D, R> {
     pub(crate) guard: Option<SourceGuard<R>>,
     pub(crate) produce: SourceAction<D, R>,
     pub(crate) max_per_cycle: u32,
-    pub(crate) guard_name: Option<NamedHook>,
-    pub(crate) produce_name: Option<NamedHook>,
 }
 
 impl<D, R> SourceDef<D, R> {
@@ -536,7 +474,6 @@ pub struct Model<D, R> {
     pub(crate) hooks: Hooks<D, R>,
     pub(crate) analysis: Analysis,
     pub(crate) squash_handler: Option<SquashHandler<D, R>>,
-    pub(crate) squash_name: Option<NamedHook>,
 }
 
 /// Cleanup hook invoked for every instruction token removed by a flush,

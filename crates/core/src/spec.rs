@@ -200,11 +200,6 @@ struct StepSpec<D, R> {
     read_then: Option<PlainAction<D, R>>,
     guard: Option<CtxGuard<D, R>>,
     action: Option<CtxAction<D, R>>,
-    /// Stable registry keys for the step's closures, when supplied through
-    /// the `*_named` modifiers (see [`crate::artifact`]).
-    guard_key: Option<String>,
-    act_key: Option<String>,
-    read_then_key: Option<String>,
     flush_rule: Option<String>,
     reads_forward: bool,
     reserve: Vec<(String, u32)>,
@@ -270,9 +265,6 @@ impl<D, R> PathSpec<D, R> {
             read_then: None,
             guard: None,
             action: None,
-            guard_key: None,
-            act_key: None,
-            read_then_key: None,
             flush_rule: None,
             reads_forward: false,
             reserve: Vec::new(),
@@ -323,23 +315,6 @@ impl<D, R> PathSpec<D, R> {
         let s = self.last();
         s.read = Some(forward);
         s.read_then = Some(Arc::new(then));
-        s.read_then_key = None;
-        self
-    }
-
-    /// [`PathSpec::read_then`] plus a stable registry key for the extra
-    /// action, keeping the lowered model serializable (see
-    /// [`crate::artifact`]).
-    pub fn read_then_named(
-        &mut self,
-        forward: Forward,
-        key: &str,
-        then: impl Fn(&mut Machine<R>, &mut D, &mut Fx<D>) + Send + Sync + 'static,
-    ) -> &mut Self {
-        let s = self.last();
-        s.read = Some(forward);
-        s.read_then = Some(Arc::new(then));
-        s.read_then_key = Some(key.to_string());
         self
     }
 
@@ -351,20 +326,6 @@ impl<D, R> PathSpec<D, R> {
     ) -> &mut Self {
         let s = self.last();
         s.guard = Some(Arc::new(move |m, t, _cx| guard(m, t)));
-        s.guard_key = None;
-        self
-    }
-
-    /// [`PathSpec::guard`] plus a stable registry key, keeping the lowered
-    /// model serializable (see [`crate::artifact`]).
-    pub fn guard_named(
-        &mut self,
-        key: &str,
-        guard: impl Fn(&Machine<R>, &D) -> bool + Send + Sync + 'static,
-    ) -> &mut Self {
-        let s = self.last();
-        s.guard = Some(Arc::new(move |m, t, _cx| guard(m, t)));
-        s.guard_key = Some(key.to_string());
         self
     }
 
@@ -375,20 +336,6 @@ impl<D, R> PathSpec<D, R> {
     ) -> &mut Self {
         let s = self.last();
         s.guard = Some(Arc::new(guard));
-        s.guard_key = None;
-        self
-    }
-
-    /// [`PathSpec::guard_ctx`] plus a stable registry key, keeping the
-    /// lowered model serializable (see [`crate::artifact`]).
-    pub fn guard_ctx_named(
-        &mut self,
-        key: &str,
-        guard: impl Fn(&Machine<R>, &D, &StepCtx) -> bool + Send + Sync + 'static,
-    ) -> &mut Self {
-        let s = self.last();
-        s.guard = Some(Arc::new(guard));
-        s.guard_key = Some(key.to_string());
         self
     }
 
@@ -399,20 +346,6 @@ impl<D, R> PathSpec<D, R> {
     ) -> &mut Self {
         let s = self.last();
         s.action = Some(Arc::new(move |m, t, fx, _cx| action(m, t, fx)));
-        s.act_key = None;
-        self
-    }
-
-    /// [`PathSpec::act`] plus a stable registry key, keeping the lowered
-    /// model serializable (see [`crate::artifact`]).
-    pub fn act_named(
-        &mut self,
-        key: &str,
-        action: impl Fn(&mut Machine<R>, &mut D, &mut Fx<D>) + Send + Sync + 'static,
-    ) -> &mut Self {
-        let s = self.last();
-        s.action = Some(Arc::new(move |m, t, fx, _cx| action(m, t, fx)));
-        s.act_key = Some(key.to_string());
         self
     }
 
@@ -424,20 +357,6 @@ impl<D, R> PathSpec<D, R> {
     ) -> &mut Self {
         let s = self.last();
         s.action = Some(Arc::new(action));
-        s.act_key = None;
-        self
-    }
-
-    /// [`PathSpec::act_ctx`] plus a stable registry key, keeping the
-    /// lowered model serializable (see [`crate::artifact`]).
-    pub fn act_ctx_named(
-        &mut self,
-        key: &str,
-        action: impl Fn(&mut Machine<R>, &mut D, &mut Fx<D>, &StepCtx) + Send + Sync + 'static,
-    ) -> &mut Self {
-        let s = self.last();
-        s.action = Some(Arc::new(action));
-        s.act_key = Some(key.to_string());
         self
     }
 
@@ -534,8 +453,6 @@ pub struct SourceSpec<D, R> {
     width: u32,
     guard: Option<SourceGuard<R>>,
     produce: Option<SourceAction<D, R>>,
-    guard_key: Option<String>,
-    produce_key: Option<String>,
 }
 
 impl<D, R> SourceSpec<D, R> {
@@ -557,19 +474,6 @@ impl<D, R> SourceSpec<D, R> {
         guard: impl Fn(&Machine<R>) -> bool + Send + Sync + 'static,
     ) -> &mut Self {
         self.guard = Some(Box::new(guard));
-        self.guard_key = None;
-        self
-    }
-
-    /// [`SourceSpec::guard`] plus a stable registry key, keeping the
-    /// lowered model serializable (see [`crate::artifact`]).
-    pub fn guard_named(
-        &mut self,
-        key: &str,
-        guard: impl Fn(&Machine<R>) -> bool + Send + Sync + 'static,
-    ) -> &mut Self {
-        self.guard = Some(Box::new(guard));
-        self.guard_key = Some(key.to_string());
         self
     }
 
@@ -579,19 +483,6 @@ impl<D, R> SourceSpec<D, R> {
         produce: impl Fn(&mut Machine<R>, &mut Fx<D>) -> Option<D> + Send + Sync + 'static,
     ) -> &mut Self {
         self.produce = Some(Box::new(produce));
-        self.produce_key = None;
-        self
-    }
-
-    /// [`SourceSpec::produce`] plus a stable registry key, keeping the
-    /// lowered model serializable (see [`crate::artifact`]).
-    pub fn produce_named(
-        &mut self,
-        key: &str,
-        produce: impl Fn(&mut Machine<R>, &mut Fx<D>) -> Option<D> + Send + Sync + 'static,
-    ) -> &mut Self {
-        self.produce = Some(Box::new(produce));
-        self.produce_key = Some(key.to_string());
         self
     }
 }
@@ -626,7 +517,6 @@ pub struct PipelineSpec<D, R> {
     classes: Vec<PathSpec<D, R>>,
     sources: Vec<SourceSpec<D, R>>,
     squash: Option<Squash<D, R>>,
-    squash_key: Option<String>,
     lowering: Lowering,
 }
 
@@ -646,7 +536,6 @@ impl<D, R> PipelineSpec<D, R> {
             classes: Vec::new(),
             sources: Vec::new(),
             squash: None,
-            squash_key: None,
             lowering: Lowering::Auto,
         }
     }
@@ -744,8 +633,6 @@ impl<D, R> PipelineSpec<D, R> {
             width: 1,
             guard: None,
             produce: None,
-            guard_key: None,
-            produce_key: None,
         });
         self.sources.last_mut().expect("just pushed")
     }
@@ -757,148 +644,9 @@ impl<D, R> PipelineSpec<D, R> {
         handler: impl Fn(&mut Machine<R>, &mut D) + Send + Sync + 'static,
     ) -> &mut Self {
         self.squash = Some(Box::new(handler));
-        self.squash_key = None;
         self
-    }
-
-    /// [`PipelineSpec::on_squash`] plus a stable registry key, keeping the
-    /// lowered model serializable (see [`crate::artifact`]).
-    pub fn on_squash_named(
-        &mut self,
-        key: &str,
-        handler: impl Fn(&mut Machine<R>, &mut D) + Send + Sync + 'static,
-    ) -> &mut Self {
-        self.squash = Some(Box::new(handler));
-        self.squash_key = Some(key.to_string());
-        self
-    }
-
-    /// A deterministic structural hash of the description: everything that
-    /// shapes the lowered model — name, stages, latches, forwarding set,
-    /// resolved redirect squash lists (so the [`HazardPolicy`] choice is
-    /// covered), every path step with its modifiers and registry keys,
-    /// sources, squash hook, and the [`Lowering`] mode.
-    ///
-    /// This is the *spec hash* the artifact cache keys on (see
-    /// [`crate::artifact`]): two specs hashing equal are assumed to lower
-    /// to interchangeable models. Opaque closure *behavior* cannot be
-    /// hashed — closures contribute only their presence and registry key,
-    /// so specs that differ solely in the body of an unnamed closure hash
-    /// equal (such models are unserializable anyway, and the cache refuses
-    /// them before this matters).
-    pub fn content_hash(&self) -> u64 {
-        let mut h = crate::artifact::Fnv::new();
-        h.str("rcpn.spec.v1");
-        h.str(&self.name);
-        h.usize(self.stages.len());
-        for (name, cap) in &self.stages {
-            h.str(name);
-            h.u32(*cap);
-        }
-        h.usize(self.latches.len());
-        for (name, stage, delay) in &self.latches {
-            h.str(name);
-            h.str(stage);
-            h.u32(delay.map_or(u32::MAX, |d| d));
-        }
-        h.usize(self.forwards.len());
-        for f in &self.forwards {
-            h.str(f);
-        }
-        h.usize(self.redirects.len());
-        for (rule, redirect) in &self.redirects {
-            h.str(rule);
-            match redirect {
-                Redirect::Explicit(names) => {
-                    h.u8(0);
-                    h.usize(names.len());
-                    for n in names {
-                        h.str(n);
-                    }
-                }
-                Redirect::UpstreamOf(from) => {
-                    // Resolve through the hazard policy exactly as lower()
-                    // does (latch i becomes place i+1; place 0 is `end`),
-                    // so the policy's ordering choice lands in the hash.
-                    h.u8(1);
-                    h.str(from);
-                    if let Some(idx) = self.latches.iter().position(|(n, _, _)| n == from) {
-                        let upstream: Vec<PlaceId> =
-                            (0..idx).map(|i| PlaceId::from_index(i + 1)).collect();
-                        let list = self.hazard.squash_list(&upstream);
-                        h.usize(list.len());
-                        for p in list {
-                            h.usize(p.index());
-                        }
-                    }
-                }
-            }
-        }
-        h.u8(match (self.policy.as_ref().map(|p| p.lowers_to_ir()), self.lowering) {
-            (None, _) => 0,
-            (Some(false), _) => 1,
-            (Some(true), Lowering::Auto) => 2,
-            (Some(true), Lowering::Closures) => 3,
-        });
-        h.u8(match self.lowering {
-            Lowering::Auto => 0,
-            Lowering::Closures => 1,
-        });
-        h.usize(self.classes.len());
-        for class in &self.classes {
-            h.str(&class.name);
-            h.opt_str(class.start.as_deref());
-            h.usize(class.steps.len());
-            for s in &class.steps {
-                h.opt_str(s.name.as_deref());
-                h.str(&s.to);
-                h.bool(s.advances);
-                h.u32(s.priority.map_or(u32::MAX, |p| p));
-                h.u8(match s.read {
-                    None => 0,
-                    Some(Forward::All) => 1,
-                    Some(Forward::None) => 2,
-                });
-                h.bool(s.read_then.is_some());
-                h.opt_str(s.read_then_key.as_deref());
-                h.bool(s.guard.is_some());
-                h.opt_str(s.guard_key.as_deref());
-                h.bool(s.action.is_some());
-                h.opt_str(s.act_key.as_deref());
-                h.opt_str(s.flush_rule.as_deref());
-                h.bool(s.reads_forward);
-                h.usize(s.reserve.len());
-                for (latch, expire) in &s.reserve {
-                    h.str(latch);
-                    h.u32(*expire);
-                }
-                h.u32(s.delay);
-                h.u8(match s.when_cond {
-                    None => 0,
-                    Some(false) => 1,
-                    Some(true) => 2,
-                });
-                h.bool(s.publish);
-                h.bool(s.annuls);
-                h.bool(s.static_flush);
-            }
-        }
-        h.usize(self.sources.len());
-        for src in &self.sources {
-            h.str(&src.name);
-            h.opt_str(src.to.as_deref());
-            h.u32(src.width);
-            h.bool(src.guard.is_some());
-            h.opt_str(src.guard_key.as_deref());
-            h.bool(src.produce.is_some());
-            h.opt_str(src.produce_key.as_deref());
-        }
-        h.bool(self.squash.is_some());
-        h.opt_str(self.squash_key.as_deref());
-        h.finish()
     }
 }
-
 impl<D: InstrData, R: 'static> PipelineSpec<D, R> {
     /// Lowers the spec into a validated RCPN [`Model`], synthesizing the
     /// read-step guards/actions from the [`OperandPolicy`] and resolving
@@ -929,7 +677,6 @@ impl<D: InstrData, R: 'static> PipelineSpec<D, R> {
             classes,
             sources,
             squash,
-            squash_key,
             lowering,
         } = self;
         let err = |detail: String| BuildError::Spec { spec: spec_name.clone(), detail };
@@ -1017,20 +764,6 @@ impl<D: InstrData, R: 'static> PipelineSpec<D, R> {
                 let step_fwd =
                     if step.read == Some(Forward::None) { Vec::new() } else { fwd.clone() };
                 let ctx = Arc::new(StepCtx { fwd: step_fwd, flush, from, to });
-                // A `*_named` closure's registry reference captures the
-                // step's resolved context, so a registry factory can
-                // rebuild an equivalent closure on artifact reload.
-                let named = |key: &String| {
-                    crate::model::NamedHook::with_args(
-                        key.clone(),
-                        crate::model::HookArgs {
-                            fwd: ctx.fwd.clone(),
-                            flush: ctx.flush.clone(),
-                            from: Some(from),
-                            to: Some(to),
-                        },
-                    )
-                };
                 let synth_action = step.annuls || step.publish || step.static_flush;
                 if step.read.is_some() && (step.when_cond.is_some() || synth_action) {
                     return Err(err(format!(
@@ -1070,12 +803,7 @@ impl<D: InstrData, R: 'static> PipelineSpec<D, R> {
                     let then_hook = match (&step.read_then, ir_mask) {
                         (Some(f), Some(_)) => {
                             let f = Arc::clone(f);
-                            let hook =
-                                move |m: &mut Machine<R>, t: &mut D, fx: &mut Fx<D>| f(m, t, fx);
-                            Some(match &step.read_then_key {
-                                Some(k) => b.hook_action_named(named(k), hook),
-                                None => b.hook_action(hook),
-                            })
+                            Some(b.hook_action(move |m, t, fx| f(m, t, fx)))
                         }
                         _ => None,
                     };
@@ -1091,12 +819,7 @@ impl<D: InstrData, R: 'static> PipelineSpec<D, R> {
                 let act_hook = match (&step.action, synth_action, lowering) {
                     (Some(a), true, Lowering::Auto) => {
                         let (a, c) = (Arc::clone(a), Arc::clone(&ctx));
-                        let hook =
-                            move |m: &mut Machine<R>, t: &mut D, fx: &mut Fx<D>| a(m, t, fx, &c);
-                        Some(match &step.act_key {
-                            Some(k) => b.hook_action_named(named(k), hook),
-                            None => b.hook_action(hook),
-                        })
+                        Some(b.hook_action(move |m, t, fx| a(m, t, fx, &c)))
                     }
                     _ => None,
                 };
@@ -1155,11 +878,7 @@ impl<D: InstrData, R: 'static> PipelineSpec<D, R> {
                         (None, _) => {
                             if let Some(g) = &step.guard {
                                 let (g, c) = (Arc::clone(g), Arc::clone(&ctx));
-                                let guard = move |m: &Machine<R>, t: &D| g(m, t, &c);
-                                tb = match &step.guard_key {
-                                    Some(k) => tb.guard_named(named(k), guard),
-                                    None => tb.guard(guard),
-                                };
+                                tb = tb.guard(move |m, t| g(m, t, &c));
                             }
                         }
                     }
@@ -1215,12 +934,7 @@ impl<D: InstrData, R: 'static> PipelineSpec<D, R> {
                         }
                     } else if let Some(a) = &step.action {
                         let (a, c) = (Arc::clone(a), Arc::clone(&ctx));
-                        let action =
-                            move |m: &mut Machine<R>, t: &mut D, fx: &mut Fx<D>| a(m, t, fx, &c);
-                        tb = match &step.act_key {
-                            Some(k) => tb.action_named(named(k), action),
-                            None => tb.action(action),
-                        };
+                        tb = tb.action(move |m, t, fx| a(m, t, fx, &c));
                     }
                 }
                 tb.done();
@@ -1238,27 +952,13 @@ impl<D: InstrData, R: 'static> PipelineSpec<D, R> {
                 .ok_or_else(|| err(format!("source {:?} needs .produce(..)", src.name)))?;
             let mut sb = b.source(&src.name).to(to).width(src.width);
             if let Some(g) = src.guard {
-                let guard = move |m: &Machine<R>| g(m);
-                sb = match &src.guard_key {
-                    Some(k) => sb.guard_named(crate::model::NamedHook::new(k.clone()), guard),
-                    None => sb.guard(guard),
-                };
+                sb = sb.guard(move |m| g(m));
             }
-            let producer = move |m: &mut Machine<R>, fx: &mut Fx<D>| produce(m, fx);
-            match &src.produce_key {
-                Some(k) => {
-                    sb.produce_named(crate::model::NamedHook::new(k.clone()), producer).done()
-                }
-                None => sb.produce(producer).done(),
-            };
+            sb.produce(move |m, fx| produce(m, fx)).done();
         }
 
         if let Some(h) = squash {
-            let handler = move |m: &mut Machine<R>, d: &mut D| h(m, d);
-            match &squash_key {
-                Some(k) => b.on_squash_named(crate::model::NamedHook::new(k.clone()), handler),
-                None => b.on_squash(handler),
-            }
+            b.on_squash(move |m, d| h(m, d));
         }
 
         b.build()

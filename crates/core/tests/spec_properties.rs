@@ -9,12 +9,7 @@
 //! to micro-op IR ([`Lowering::Auto`]) or to closures
 //! ([`Lowering::Closures`]), and — on the IR side — whether hook-free
 //! transitions dispatch through compiled superblocks or the per-op
-//! interpreter. The final block extends the differential through the
-//! artifact layer: a random spec whose closures all carry registry
-//! names must serialize to [`rcpn::artifact`] bytes, reload against a
-//! hook registry, and simulate bit-identically — fresh compile vs
-//! reload vs reload-of-a-re-encode — under every table mode and both
-//! schedulers.
+//! interpreter.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -359,91 +354,6 @@ fn reg_machine(shape: &RegShape) -> Machine<RegFeed> {
     m
 }
 
-/// The same pipeline as [`build_reg_spec`] under [`Lowering::Auto`], but
-/// every escape-hatch closure is attached through the `_named` spec API
-/// with a `test.*` key, so the compiled model serializes to an artifact
-/// (the synthesized capabilities — `when_cond`, `annuls`, `publish`,
-/// `flushes_always`, the scoreboard read steps — are pure IR and need no
-/// names).
-fn build_named_reg_spec(shape: &RegShape) -> PipelineSpec<RegTok, RegFeed> {
-    let n = shape.n_stages;
-    let latch = |i: usize| format!("P{i}");
-    let mut s = PipelineSpec::new("reg-named");
-    for i in 0..n {
-        s.stage(&format!("S{i}"), shape.caps[i % shape.caps.len()]);
-        s.latch(&latch(i), &format!("S{i}"));
-    }
-    if shape.forward {
-        s.forwards(&[&latch(1.min(n - 1))]);
-    }
-    s.operand_policy(ScoreboardPolicy);
-    if shape.static_flush {
-        s.redirect("rs", &latch(n - 1));
-    }
-    {
-        let fw = if shape.forward { Forward::All } else { Forward::None };
-        let a = s.class("A");
-        a.step(&latch(1.min(n - 1))).read_then_named(fw, "test.pub_add", |m, t, fx| {
-            let v = t.srcs[0].value().wrapping_add(t.srcs[1].value()).wrapping_add(t.imm);
-            let tok = fx.token();
-            t.dst.set(&mut m.regs, tok, v);
-        });
-        for i in 2..n {
-            let st = a.step(&latch(i));
-            if shape.publish && i == 2 {
-                st.publish();
-            }
-        }
-        a.step("end").act_named("test.writeback", |m, t, fx| {
-            t.dst.writeback(&mut m.regs, fx.token());
-        });
-    }
-    {
-        let b = s.class("B");
-        b.step(&latch(1.min(n - 1)));
-        if shape.skip && n >= 3 {
-            b.alt("end").priority(9).guard_named("test.skip_mod3", |_m, t| t.imm % 3 == 0);
-        }
-        if shape.cond_skip {
-            b.alt("end").priority(8).when_cond(false).annuls();
-        }
-        for i in 2..n {
-            b.step(&latch(i));
-        }
-        let e = b.step("end");
-        if shape.static_flush {
-            e.flushes_always("rs");
-        }
-    }
-    s.source("feed")
-        .to(&latch(0))
-        .width(shape.width)
-        .produce_named("test.feed", |m: &mut Machine<RegFeed>, _fx| {
-            m.res.q.borrow_mut().pop_front()
-        });
-    s
-}
-
-/// The registry [`build_named_reg_spec`] artifacts decode against: one
-/// factory per `test.*` key, rebuilding the exact closures the spec
-/// attaches.
-fn roundtrip_registry() -> HookRegistry<RegTok, RegFeed> {
-    let mut r: HookRegistry<RegTok, RegFeed> = HookRegistry::new();
-    r.action("test.pub_add", |_args| {
-        Box::new(|m, t, fx| {
-            let v = t.srcs[0].value().wrapping_add(t.srcs[1].value()).wrapping_add(t.imm);
-            let tok = fx.token();
-            t.dst.set(&mut m.regs, tok, v);
-        })
-    });
-    r.action("test.writeback", |_args| {
-        Box::new(|m, t, fx| t.dst.writeback(&mut m.regs, fx.token()))
-    });
-    r.guard("test.skip_mod3", |_args| Box::new(|_m, t| t.imm % 3 == 0));
-    r.source_action("test.feed", |_args| Box::new(|m, _fx| m.res.q.borrow_mut().pop_front()));
-    r
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -619,91 +529,6 @@ proptest! {
         if ch.1.fires.first().copied().unwrap_or(0) > 0 {
             prop_assert!(ch.2.guard_ir_evals > 0, "IR lowering must use the IR interpreter");
             prop_assert!(ch.2.actions_fused > 0, "read steps must fuse");
-        }
-    }
-}
-
-proptest! {
-    // Each case compiles, encodes, decodes twice and simulates three
-    // times per {table mode × scheduler} cell; fewer cases keep the
-    // suite's runtime in line with the other differentials.
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// The artifact round-trip differential: for a random fully-named
-    /// spec, a fresh compile, a reload of its artifact, and a reload of
-    /// the reloaded model's *re-encoded* artifact must simulate
-    /// bit-identically (trace, `Stats`, `SchedStats`, architectural
-    /// registers) under every table mode and both schedulers — and the
-    /// re-encoded bytes must equal the original encoding, pinning the
-    /// codec as deterministic and lossless.
-    #[test]
-    fn random_specs_roundtrip_through_artifacts_bit_identically(
-        n_stages in 2usize..=4,
-        caps in proptest::collection::vec(1u32..=2, 1..=3),
-        forward in any::<bool>(),
-        skip in any::<bool>(),
-        cond_skip in any::<bool>(),
-        publish in any::<bool>(),
-        static_flush in any::<bool>(),
-        width in 1u32..=2,
-        program in proptest::collection::vec(
-            (any::<bool>(), 0u8..4, 0u8..4, 0u8..4, 0u32..64),
-            1..12,
-        ),
-    ) {
-        let shape = RegShape {
-            n_stages, caps, forward, skip, cond_skip, publish, static_flush, width, program,
-        };
-        let registry = roundtrip_registry();
-        let spec_hash = build_named_reg_spec(&shape).content_hash();
-        for table_mode in [TableMode::PerPlaceClass, TableMode::PerPlace, TableMode::FullScan] {
-            for scheduler in [SchedulerMode::ActivityDriven, SchedulerMode::Exhaustive] {
-                let cfg = EngineConfig { table_mode, scheduler, trace: true, ..Default::default() };
-                let model =
-                    build_named_reg_spec(&shape).lower().expect("named reg spec lowers");
-                let fresh = CompiledModel::compile_with(model, cfg);
-                let bytes =
-                    fresh.to_artifact_bytes(spec_hash).expect("fully named model serializes");
-                let reloaded =
-                    CompiledModel::from_artifact_bytes(&bytes, Some(spec_hash), &registry)
-                        .expect("artifact decodes");
-                let rebytes =
-                    reloaded.to_artifact_bytes(spec_hash).expect("reloaded model re-encodes");
-                prop_assert_eq!(
-                    &bytes, &rebytes,
-                    "re-encoding a reloaded artifact must be byte-identical ({:?}/{:?})",
-                    table_mode, scheduler
-                );
-                let rereloaded =
-                    CompiledModel::from_artifact_bytes(&rebytes, Some(spec_hash), &registry)
-                        .expect("re-encoded artifact decodes");
-                let mut runs = Vec::new();
-                for compiled in [&fresh, &reloaded, &rereloaded] {
-                    let mut e = compiled.instantiate(reg_machine(&shape));
-                    e.run(120);
-                    let regs: Vec<u32> = (0..4)
-                        .map(|i| e.machine().regs.value_of(RegId::from_index(i)))
-                        .collect();
-                    runs.push((e.take_trace(), e.stats().clone(), e.sched().clone(), regs));
-                }
-                let fresh_run = &runs[0];
-                for (name, run) in [("reload", &runs[1]), ("re-reload", &runs[2])] {
-                    prop_assert_eq!(
-                        &fresh_run.0, &run.0,
-                        "fresh vs {}: trace ({:?}/{:?})", name, table_mode, scheduler
-                    );
-                    prop_assert_eq!(&fresh_run.1, &run.1, "fresh vs {}: Stats", name);
-                    prop_assert_eq!(&fresh_run.2, &run.2, "fresh vs {}: SchedStats", name);
-                    prop_assert_eq!(
-                        fresh_run.2.dispatch_normalized(), run.2.dispatch_normalized(),
-                        "fresh vs {}: normalized SchedStats", name
-                    );
-                    prop_assert_eq!(
-                        &fresh_run.3, &run.3,
-                        "fresh vs {}: architectural state", name
-                    );
-                }
-            }
         }
     }
 }

@@ -50,9 +50,9 @@ pub const STB_GLOBAL_NOTYPE: u8 = 0x10;
 
 /// A typed, never-panicking ELF decode failure.
 ///
-/// Same discipline as `rcpn::artifact`: every malformed input maps to a
-/// variant that names what was wrong and (where useful) what was found,
-/// so a bad binary is diagnosable from the message alone.
+/// Every malformed input maps to a variant that names what was wrong and
+/// (where useful) what was found, so a bad binary is diagnosable from the
+/// message alone.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ElfError {
     /// The first four bytes are not [`ELF_MAGIC`].

@@ -37,7 +37,6 @@
 
 pub mod armtok;
 pub mod example;
-pub mod registry;
 pub mod res;
 pub mod semantics;
 pub mod sim;
@@ -49,6 +48,5 @@ pub mod tomasulo;
 pub mod xscale;
 
 pub use armtok::{ArmClass, ArmTok, DecInstr};
-pub use registry::arm_hooks;
 pub use res::{ArmRes, SimConfig};
 pub use sim::{BatchOutcome, CaSim, CompiledSim, ProcModel, SimResult};

@@ -4,10 +4,7 @@
 //! the compiled (generated) simulator for a processor/configuration pair,
 //! and [`CaSim`] is one runnable instance of it bound to a program.
 
-use std::path::Path;
-
 use arm_isa::program::{MemLayout, Program};
-use rcpn::artifact::{ArtifactCache, ArtifactError};
 use rcpn::batch::BatchRunner;
 use rcpn::compiled::CompiledModel;
 use rcpn::engine::{Engine, RunOutcome};
@@ -16,7 +13,6 @@ use rcpn::spec::PipelineSpec;
 use rcpn::stats::{SchedStats, Stats};
 
 use crate::armtok::ArmTok;
-use crate::registry::arm_hooks;
 use crate::res::{ArmRes, SimConfig};
 
 /// Which processor model a [`CaSim`] runs.
@@ -82,24 +78,13 @@ impl ProcModel {
         }
     }
 
-    /// The model's pipeline description (the input to [`ProcModel::compile`]
-    /// and to [`ProcModel::spec_hash`]).
+    /// The model's pipeline description (the input to [`ProcModel::compile`]).
     pub fn spec(self) -> PipelineSpec<ArmTok, ArmRes> {
         match self {
             ProcModel::StrongArm => crate::strongarm::spec(),
             ProcModel::XScale => crate::xscale::spec(),
             ProcModel::SuperArm => crate::superarm::spec(),
         }
-    }
-
-    /// The content hash identifying this model's description under
-    /// `config` — the spec-hash half of the artifact cache key (see
-    /// [`rcpn::spec::PipelineSpec::content_hash`]; the lowering choice is
-    /// part of the hash, the engine config is the key's other half).
-    pub fn spec_hash(self, config: &SimConfig) -> u64 {
-        let mut s = self.spec();
-        s.lowering(config.lowering);
-        s.content_hash()
     }
 }
 
@@ -140,55 +125,6 @@ impl CompiledSim {
     /// Compiles `model` with its default configuration.
     pub fn of(model: ProcModel) -> Self {
         Self::new(model, &model.default_config())
-    }
-
-    /// Reloads the compiled simulator for `(model, config)` from `cache`,
-    /// or compiles (and stores) it on a cache miss. Configurations whose
-    /// models cannot be serialized — closure lowering — are compiled and
-    /// returned without touching the cache (counted as a bypass).
-    ///
-    /// # Errors
-    ///
-    /// [`ArtifactError::Io`] when a freshly compiled artifact cannot be
-    /// stored. Invalid or stale cache entries are not errors; they are
-    /// recompiled over.
-    pub fn load_or_compile(
-        model: ProcModel,
-        config: &SimConfig,
-        cache: &ArtifactCache,
-    ) -> Result<Self, ArtifactError> {
-        let hash = model.spec_hash(config);
-        let compiled =
-            cache.load_or_compile(hash, &config.engine, &arm_hooks(), || model.compile(config))?;
-        Ok(CompiledSim { compiled, model, config: config.clone() })
-    }
-
-    /// Serializes the compiled simulator to `path` as a versioned
-    /// [`rcpn::artifact`] file, stamped with this model/config's spec
-    /// hash.
-    ///
-    /// # Errors
-    ///
-    /// [`ArtifactError::UnnamedClosure`] when the configuration lowers
-    /// with closures (unserializable), [`ArtifactError::Io`] on write
-    /// failure.
-    pub fn save(&self, path: &Path) -> Result<(), ArtifactError> {
-        self.compiled.save_artifact(path, self.model.spec_hash(&self.config))
-    }
-
-    /// Decodes a [`CompiledSim`] from an artifact file previously written
-    /// by [`CompiledSim::save`] (or the cache), for `(model, config)`.
-    /// Nothing is recompiled; the artifact's spec hash must match the
-    /// model description this build would produce.
-    ///
-    /// # Errors
-    ///
-    /// Any decode-side [`ArtifactError`]: I/O, bad magic, version or
-    /// spec-hash mismatch, checksum failure, corruption, unknown hooks.
-    pub fn load(model: ProcModel, config: &SimConfig, path: &Path) -> Result<Self, ArtifactError> {
-        let hash = model.spec_hash(config);
-        let compiled = CompiledModel::load_artifact(path, Some(hash), &arm_hooks())?;
-        Ok(CompiledSim { compiled, model, config: config.clone() })
     }
 
     /// Compiled StrongARM with default configuration.

@@ -17,7 +17,6 @@ use rcpn::engine::Engine;
 use rcpn::spec::{Forward, PipelineSpec, SquashOrder};
 
 use crate::armtok::{ArmClass, ArmTok};
-use crate::registry::keys;
 use crate::res::{ArmRes, SimConfig};
 use crate::semantics::*;
 
@@ -53,40 +52,40 @@ pub fn spec() -> PipelineSpec<ArmTok, ArmRes> {
         .read(Forward::All)
         .step("E")
         .flushes("exec")
-        .act_ctx_named(keys::EXEC_DATAPROC, |m, t, fx, cx| exec_dataproc(m, t, fx, &cx.flush))
+        .act_ctx(|m, t, fx, cx| exec_dataproc(m, t, fx, &cx.flush))
         .step("M")
         .step("end")
-        .act_named(keys::EXEC_WRITEBACK, exec_writeback);
+        .act(exec_writeback);
 
     s.class(ArmClass::Mul.name())
         .step("D")
         .read(Forward::All)
         .step("E")
-        .act_named(keys::EXEC_MUL, exec_mul)
+        .act(exec_mul)
         .step("M")
         .step("end")
-        .act_named(keys::EXEC_WRITEBACK, exec_writeback);
+        .act(exec_writeback);
 
     s.class(ArmClass::LdSt.name())
         .step("D")
         .read(Forward::All)
         .step("E")
-        .act_named(keys::EXEC_ADDR, exec_addr)
+        .act(exec_addr)
         .step("M")
         .flushes("mem")
-        .act_ctx_named(keys::EXEC_MEM, |m, t, fx, cx| exec_mem(m, t, fx, &cx.flush))
+        .act_ctx(|m, t, fx, cx| exec_mem(m, t, fx, &cx.flush))
         .step("end")
-        .act_named(keys::EXEC_WRITEBACK, exec_writeback);
+        .act(exec_writeback);
 
     s.class(ArmClass::LdStM.name())
         .step("D")
-        .read_then_named(Forward::All, keys::EXEC_BLOCK_ADDR, exec_block_addr)
+        .read_then(Forward::All, exec_block_addr)
         // Condition failed: the whole block transfer is a one-cycle bubble.
         .alt("end")
         .priority(0)
-        .guard_named(keys::COND_FAIL, |m, t| !cond_passes(m, t))
+        .guard(|m, t| !cond_passes(m, t))
         .annuls()
-        .act_named(keys::LDM_SKIP, |m, t, _fx| {
+        .act(|m, t, _fx| {
             clear_serialize(m, t);
             m.res.instr_done += 1;
         })
@@ -94,41 +93,36 @@ pub fn spec() -> PipelineSpec<ArmTok, ArmRes> {
         .step("E")
         .priority(1)
         .reads_forward()
-        .guard_ctx_named(keys::LDM_UOP_READY, |m, t, cx| ldm_uop_ready(m, t, &cx.fwd))
-        .act_ctx_named(keys::LDM_UOP_ISSUE, |m, t, fx, cx| {
-            ldm_uop_issue(m, t, fx, &cx.fwd, cx.from)
-        })
+        .guard_ctx(|m, t, cx| ldm_uop_ready(m, t, &cx.fwd))
+        .act_ctx(|m, t, fx, cx| ldm_uop_issue(m, t, fx, &cx.fwd, cx.from))
         .step("M")
         .flushes("mem")
-        .act_ctx_named(keys::EXEC_MEM, |m, t, fx, cx| exec_mem(m, t, fx, &cx.flush))
+        .act_ctx(|m, t, fx, cx| exec_mem(m, t, fx, &cx.flush))
         .step("end")
-        .act_named(keys::EXEC_WRITEBACK, exec_writeback);
+        .act(exec_writeback);
 
     s.class(ArmClass::Branch.name())
         .step("D")
         .read(Forward::None)
         .step("E")
         .flushes("exec")
-        .act_ctx_named(keys::EXEC_BRANCH, |m, t, fx, cx| exec_branch(m, t, fx, &cx.flush))
+        .act_ctx(|m, t, fx, cx| exec_branch(m, t, fx, &cx.flush))
         .step("M")
         .step("end")
-        .act_named(keys::EXEC_WRITEBACK, exec_writeback);
+        .act(exec_writeback);
 
     s.class(ArmClass::System.name())
         .step("D")
         .read(Forward::All)
         .step("E")
         .flushes("exec")
-        .act_ctx_named(keys::EXEC_SYSTEM, |m, t, fx, cx| exec_system(m, t, fx, &cx.flush))
+        .act_ctx(|m, t, fx, cx| exec_system(m, t, fx, &cx.flush))
         .step("M")
         .step("end")
-        .act_named(keys::EXEC_WRITEBACK, exec_writeback);
+        .act(exec_writeback);
 
-    s.source("fetch")
-        .to("F")
-        .guard_named(keys::FETCH_READY, fetch_ready)
-        .produce_named(keys::FETCH_PRODUCE, fetch_produce);
-    s.on_squash_named(keys::CLEAR_SERIALIZE, clear_serialize);
+    s.source("fetch").to("F").guard(fetch_ready).produce(fetch_produce);
+    s.on_squash(clear_serialize);
     s
 }
 

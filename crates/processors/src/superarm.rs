@@ -23,7 +23,6 @@ use rcpn::engine::Engine;
 use rcpn::spec::{Forward, PipelineSpec, SquashOrder};
 
 use crate::armtok::{ArmClass, ArmTok};
-use crate::registry::keys;
 use crate::res::{ArmRes, SimConfig};
 use crate::semantics::*;
 
@@ -60,61 +59,59 @@ pub fn spec() -> PipelineSpec<ArmTok, ArmRes> {
         .read(Forward::All)
         .step("E")
         .flushes("exec")
-        .act_ctx_named(keys::EXEC_DATAPROC, |m, t, fx, cx| exec_dataproc(m, t, fx, &cx.flush))
+        .act_ctx(|m, t, fx, cx| exec_dataproc(m, t, fx, &cx.flush))
         .step("M1")
         .step("M2")
         .step("end")
-        .act_named(keys::EXEC_WRITEBACK, exec_writeback);
+        .act(exec_writeback);
 
     s.class(ArmClass::Mul.name())
         .step("F2")
         .step("D")
         .read(Forward::All)
         .step("E")
-        .act_named(keys::EXEC_MUL, exec_mul)
+        .act(exec_mul)
         .step("M1")
         .step("M2")
         .step("end")
-        .act_named(keys::EXEC_WRITEBACK, exec_writeback);
+        .act(exec_writeback);
 
     s.class(ArmClass::LdSt.name())
         .step("F2")
         .step("D")
         .read(Forward::All)
         .step("E")
-        .act_named(keys::EXEC_ADDR, exec_addr)
+        .act(exec_addr)
         .step("M1")
         .flushes("mem")
-        .act_ctx_named(keys::EXEC_MEM, |m, t, fx, cx| exec_mem(m, t, fx, &cx.flush))
+        .act_ctx(|m, t, fx, cx| exec_mem(m, t, fx, &cx.flush))
         .step("M2")
         .step("end")
-        .act_named(keys::EXEC_WRITEBACK, exec_writeback);
+        .act(exec_writeback);
 
     s.class(ArmClass::LdStM.name())
         .step("F2")
         .step("D")
-        .read_then_named(Forward::All, keys::EXEC_BLOCK_ADDR, exec_block_addr)
+        .read_then(Forward::All, exec_block_addr)
         .alt("end")
         .priority(0)
-        .guard_named(keys::COND_FAIL, |m, t| !cond_passes(m, t))
+        .guard(|m, t| !cond_passes(m, t))
         .annuls()
-        .act_named(keys::LDM_SKIP, |m, t, _fx| {
+        .act(|m, t, _fx| {
             clear_serialize(m, t);
             m.res.instr_done += 1;
         })
         .step("E")
         .priority(1)
         .reads_forward()
-        .guard_ctx_named(keys::LDM_UOP_READY, |m, t, cx| ldm_uop_ready(m, t, &cx.fwd))
-        .act_ctx_named(keys::LDM_UOP_ISSUE, |m, t, fx, cx| {
-            ldm_uop_issue(m, t, fx, &cx.fwd, cx.from)
-        })
+        .guard_ctx(|m, t, cx| ldm_uop_ready(m, t, &cx.fwd))
+        .act_ctx(|m, t, fx, cx| ldm_uop_issue(m, t, fx, &cx.fwd, cx.from))
         .step("M1")
         .flushes("mem")
-        .act_ctx_named(keys::EXEC_MEM, |m, t, fx, cx| exec_mem(m, t, fx, &cx.flush))
+        .act_ctx(|m, t, fx, cx| exec_mem(m, t, fx, &cx.flush))
         .step("M2")
         .step("end")
-        .act_named(keys::EXEC_WRITEBACK, exec_writeback);
+        .act(exec_writeback);
 
     s.class(ArmClass::Branch.name())
         .step("F2")
@@ -122,11 +119,11 @@ pub fn spec() -> PipelineSpec<ArmTok, ArmRes> {
         .read(Forward::None)
         .step("E")
         .flushes("exec")
-        .act_ctx_named(keys::EXEC_BRANCH, |m, t, fx, cx| exec_branch(m, t, fx, &cx.flush))
+        .act_ctx(|m, t, fx, cx| exec_branch(m, t, fx, &cx.flush))
         .step("M1")
         .step("M2")
         .step("end")
-        .act_named(keys::EXEC_WRITEBACK, exec_writeback);
+        .act(exec_writeback);
 
     s.class(ArmClass::System.name())
         .step("F2")
@@ -134,17 +131,14 @@ pub fn spec() -> PipelineSpec<ArmTok, ArmRes> {
         .read(Forward::All)
         .step("E")
         .flushes("exec")
-        .act_ctx_named(keys::EXEC_SYSTEM, |m, t, fx, cx| exec_system(m, t, fx, &cx.flush))
+        .act_ctx(|m, t, fx, cx| exec_system(m, t, fx, &cx.flush))
         .step("M1")
         .step("M2")
         .step("end")
-        .act_named(keys::EXEC_WRITEBACK, exec_writeback);
+        .act(exec_writeback);
 
-    s.source("fetch")
-        .to("F1")
-        .guard_named(keys::FETCH_READY, fetch_ready)
-        .produce_named(keys::FETCH_PRODUCE, fetch_produce);
-    s.on_squash_named(keys::CLEAR_SERIALIZE, clear_serialize);
+    s.source("fetch").to("F1").guard(fetch_ready).produce(fetch_produce);
+    s.on_squash(clear_serialize);
     s
 }
 

@@ -3,7 +3,7 @@
 //! ```text
 //! rcpn-client ping ADDR [--retry N]
 //!     Connect (retrying up to N times while the server starts), print
-//!     the server's models, pool geometry and warm-up cache counters.
+//!     the server's models and pool geometry.
 //!
 //! rcpn-client drive ADDR [--check]
 //!     Submit the six fig10 kernels against every served model, stream
@@ -80,14 +80,10 @@ fn ping(addr: &str, flags: &[String]) -> Result<ExitCode, Box<dyn std::error::Er
     let mut client = connect_with_retry(addr, retries)?;
     let info = client.hello()?;
     println!(
-        "rcpn-serve at {addr}: models [{}], {} workers, queue {}, \
-         cache_hits={} cache_misses={} cache_bypasses={}",
+        "rcpn-serve at {addr}: models [{}], {} workers, queue {}",
         info.models.join(", "),
         info.workers,
         info.queue_capacity,
-        info.cache_hits,
-        info.cache_misses,
-        info.cache_bypasses,
     );
     Ok(ExitCode::SUCCESS)
 }

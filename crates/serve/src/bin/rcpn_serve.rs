@@ -1,10 +1,9 @@
 //! The simulation service daemon and its observability reporter.
 //!
 //! ```text
-//! rcpn-serve serve [--addr A] [--workers N] [--queue N] [--cache DIR]
-//!     Warm all registry models (through the artifact cache when --cache
-//!     is given), print the bound address, and serve jobs until a client
-//!     sends Shutdown.
+//! rcpn-serve serve [--addr A] [--workers N] [--queue N]
+//!     Compile all registry models, print the bound address, and serve
+//!     jobs until a client sends Shutdown.
 //!
 //! rcpn-serve sweep-diff OLD NEW [--tolerance PCT]
 //! rcpn-serve sweep-diff OLD --live ADDR [--scale S] [--tolerance PCT]
@@ -26,7 +25,7 @@ fn main() -> ExitCode {
         Some((cmd, rest)) if cmd == "sweep-diff" => sweep_diff(rest),
         _ => {
             eprintln!(
-                "usage: rcpn-serve serve [--addr A] [--workers N] [--queue N] [--cache DIR]\n\
+                "usage: rcpn-serve serve [--addr A] [--workers N] [--queue N]\n\
                  \x20      rcpn-serve sweep-diff OLD (NEW | --live ADDR [--scale S]) [--tolerance PCT]"
             );
             ExitCode::from(2)
@@ -48,7 +47,6 @@ fn serve(args: &[String]) -> ExitCode {
             "--queue" => value("--queue").and_then(|v| {
                 v.parse().map(|n| config.queue_capacity = n).map_err(|e| format!("--queue: {e}"))
             }),
-            "--cache" => value("--cache").map(|v| config.cache_dir = Some(v.into())),
             other => Err(format!("unknown flag {other:?}")),
         };
         if let Err(e) = result {
@@ -67,10 +65,8 @@ fn serve(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let (hits, misses, bypasses) = server.cache_counters();
     println!(
-        "rcpn-serve: listening on {} ({} models warmed, {} workers, queue {}; \
-         cache_hits={hits} cache_misses={misses} cache_bypasses={bypasses})",
+        "rcpn-serve: listening on {} ({} models warmed, {} workers, queue {})",
         server.local_addr(),
         server.model_labels().len(),
         config.workers,

@@ -24,12 +24,6 @@ pub struct ServerInfo {
     pub workers: u32,
     /// Bounded admission-queue capacity.
     pub queue_capacity: u32,
-    /// Artifact-cache hits during model warm-up.
-    pub cache_hits: u64,
-    /// Artifact-cache misses (fresh compiles) during model warm-up.
-    pub cache_misses: u64,
-    /// Artifact-cache bypasses during model warm-up.
-    pub cache_bypasses: u64,
 }
 
 /// Admission verdict for one submission.
@@ -106,8 +100,7 @@ impl Client {
         Ok(Client { stream, inbox: VecDeque::new(), next_job_id: 1 })
     }
 
-    /// Asks the server who it is: warmed models, pool geometry, and the
-    /// artifact-cache counters from warm-up.
+    /// Asks the server who it is: warmed models and pool geometry.
     ///
     /// # Errors
     ///
@@ -117,21 +110,9 @@ impl Client {
     pub fn hello(&mut self) -> Result<ServerInfo, ClientError> {
         write_request(&mut self.stream, &Request::Hello)?;
         match self.next_reply_matching(|r| matches!(r, Reply::ServerInfo { .. }))? {
-            Reply::ServerInfo {
-                models,
-                workers,
-                queue_capacity,
-                cache_hits,
-                cache_misses,
-                cache_bypasses,
-            } => Ok(ServerInfo {
-                models,
-                workers,
-                queue_capacity,
-                cache_hits,
-                cache_misses,
-                cache_bypasses,
-            }),
+            Reply::ServerInfo { models, workers, queue_capacity } => {
+                Ok(ServerInfo { models, workers, queue_capacity })
+            }
             other => Err(unexpected(&other)),
         }
     }

@@ -1,14 +1,14 @@
-//! Simulation-as-a-service over pre-compiled RCPN simulator artifacts.
+//! Simulation-as-a-service over RCPN simulators compiled in process.
 //!
 //! The paper's pitch is that generated cycle-accurate simulators are
 //! fast enough for *interactive* design-space exploration. This crate is
 //! the serving half of that story: a long-running TCP job server
 //! ([`server::Server`], the `rcpn-serve` bin) that warms one compiled
-//! simulator per [`processors::sim::ProcModel`] registry variant through
-//! the artifact cache at bind time, then accepts program + model
-//! simulation jobs over a small length-prefixed binary protocol
-//! ([`protocol`]), runs them on a scoped-thread worker pool, and streams
-//! per-job results back as they complete. A bounded admission queue
+//! simulator per [`processors::sim::ProcModel`] registry variant at bind
+//! time, then accepts program + model simulation jobs over a small
+//! length-prefixed binary protocol ([`protocol`]), runs them on a
+//! scoped-thread worker pool, and streams per-job results back as they
+//! complete. A bounded admission queue
 //! turns overload into a typed [`protocol::Reply::Busy`] instead of
 //! unbounded buffering, and the matching [`client::Client`] (the
 //! `rcpn-client` bin) hides reply interleaving behind a blocking

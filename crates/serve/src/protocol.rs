@@ -40,7 +40,7 @@ use processors::sim::SimResult;
 use rcpn::stats::{SchedStats, Stats};
 
 /// Protocol version carried by every frame (bump on any wire change).
-pub const PROTOCOL_VERSION: u8 = 1;
+pub const PROTOCOL_VERSION: u8 = 2;
 
 /// Upper bound on a frame's declared payload length (16 MiB). A length
 /// prefix beyond this is rejected before any buffer is allocated, so a
@@ -105,8 +105,11 @@ pub enum Request {
     /// at `scale` and stream back the sweep record
     /// ([`Reply::SweepRecord`]) in the `BENCH_sweep.json` house format.
     RunSweep {
-        /// Workload size scale (see `workloads::Kernel::scaled_size`;
-        /// `0.0` floors at the test sizes).
+        /// Workload size scale in `[0.0, 1.0]` (see
+        /// `workloads::Kernel::scaled_size`; `0.0` floors at the test
+        /// sizes, `1.0` is the bench size). Anything else — negative,
+        /// above 1.0, NaN or infinite — is rejected at decode as
+        /// [`WireError::Corrupt`].
         scale: f64,
     },
     /// Ask the server to stop accepting work and exit its accept loop;
@@ -141,15 +144,6 @@ pub enum Reply {
         /// Bounded admission-queue capacity (jobs beyond it get
         /// [`Reply::Busy`]).
         queue_capacity: u32,
-        /// Artifact-cache hits during model warm-up (`0` when the server
-        /// runs cacheless).
-        cache_hits: u64,
-        /// Artifact-cache misses during warm-up (each one compiled and
-        /// stored).
-        cache_misses: u64,
-        /// Artifact-cache bypasses during warm-up (unserializable
-        /// configurations).
-        cache_bypasses: u64,
     },
     /// The job entered the admission queue; a [`Reply::JobDone`] or
     /// [`Reply::JobFailed`] with the same `job_id` will follow.
@@ -613,14 +607,7 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
 /// [`write_reply`] adds it).
 pub fn encode_reply(reply: &Reply) -> Vec<u8> {
     match reply {
-        Reply::ServerInfo {
-            models,
-            workers,
-            queue_capacity,
-            cache_hits,
-            cache_misses,
-            cache_bypasses,
-        } => {
+        Reply::ServerInfo { models, workers, queue_capacity } => {
             let mut e = payload(TAG_SERVER_INFO);
             e.u32(models.len() as u32);
             for m in models {
@@ -628,9 +615,6 @@ pub fn encode_reply(reply: &Reply) -> Vec<u8> {
             }
             e.u32(*workers);
             e.u32(*queue_capacity);
-            e.u64(*cache_hits);
-            e.u64(*cache_misses);
-            e.u64(*cache_bypasses);
             e.0
         }
         Reply::Accepted { job_id } => {
@@ -702,7 +686,17 @@ pub fn decode_request(bytes: &[u8]) -> Result<Request, WireError> {
                 words: d.words(C)?,
             })
         }
-        TAG_RUN_SWEEP => Request::RunSweep { scale: d.f64("RunSweep")? },
+        TAG_RUN_SWEEP => {
+            // The scale sizes every kernel of the sweep; an unbounded one
+            // would ask the server for a `usize::MAX`-sized workload.
+            let scale = d.f64("RunSweep")?;
+            if !(0.0..=1.0).contains(&scale) {
+                return Err(WireError::Corrupt {
+                    detail: format!("RunSweep scale {scale} is outside [0, 1]"),
+                });
+            }
+            Request::RunSweep { scale }
+        }
         TAG_SHUTDOWN => Request::Shutdown,
         tag => return Err(WireError::UnknownTag { tag }),
     };
@@ -728,14 +722,7 @@ pub fn decode_reply(bytes: &[u8]) -> Result<Reply, WireError> {
             for _ in 0..n {
                 models.push(d.str(C)?);
             }
-            Reply::ServerInfo {
-                models,
-                workers: d.u32(C)?,
-                queue_capacity: d.u32(C)?,
-                cache_hits: d.u64(C)?,
-                cache_misses: d.u64(C)?,
-                cache_bypasses: d.u64(C)?,
-            }
+            Reply::ServerInfo { models, workers: d.u32(C)?, queue_capacity: d.u32(C)? }
         }
         TAG_ACCEPTED => Reply::Accepted { job_id: d.u64("Accepted")? },
         TAG_BUSY => Reply::Busy { job_id: d.u64("Busy")? },
@@ -895,9 +882,6 @@ mod tests {
                 models: vec!["strongarm".into(), "xscale".into()],
                 workers: 4,
                 queue_capacity: 64,
-                cache_hits: 3,
-                cache_misses: 0,
-                cache_bypasses: 0,
             },
             Reply::Accepted { job_id: 1 },
             Reply::Busy { job_id: 2 },
@@ -953,6 +937,21 @@ mod tests {
             assert!(
                 matches!(err, WireError::Truncated { .. }),
                 "prefix of {cut} bytes gave {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn sweep_scale_is_validated_at_decode() {
+        for scale in [0.0, 0.5, 1.0] {
+            let req = Request::RunSweep { scale };
+            assert_eq!(decode_request(&encode_request(&req)).unwrap(), req);
+        }
+        for scale in [f64::NAN, f64::INFINITY, -1.0, 1e300, 1.0 + f64::EPSILON] {
+            let bytes = encode_request(&Request::RunSweep { scale });
+            assert!(
+                matches!(decode_request(&bytes), Err(WireError::Corrupt { .. })),
+                "scale {scale} must be rejected"
             );
         }
     }

@@ -1,14 +1,13 @@
 //! The `rcpn-serve` job server: a long-running TCP service over
-//! pre-compiled simulator artifacts.
+//! simulators compiled once at bind time.
 //!
 //! Architecture (`DESIGN.md` §3b):
 //!
-//! * **Warm once, instantiate per job.** [`Server::bind`] compiles (or
-//!   reloads through an [`ArtifactCache`]) one [`CompiledSim`] per
-//!   [`ProcModel`] registry variant. Jobs only *instantiate* engines from
-//!   those shared artifacts — exactly the seam
-//!   [`CompiledSim::run_batch`] uses, which is why served results are
-//!   bit-identical to an in-process batch.
+//! * **Warm once, instantiate per job.** [`Server::bind`] compiles one
+//!   [`CompiledSim`] per [`ProcModel`] registry variant. Jobs only
+//!   *instantiate* engines from those shared artifacts — exactly the
+//!   seam [`CompiledSim::run_batch`] uses, which is why served results
+//!   are bit-identical to an in-process batch.
 //! * **Scoped-thread worker pool.** [`Server::run`] spawns the workers
 //!   and one reader thread per connection inside a `std::thread::scope`,
 //!   all borrowing the warmed artifacts from the server's stack — no
@@ -24,14 +23,12 @@
 
 use std::io::Write as _;
 use std::net::{Shutdown as SockShutdown, SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::Mutex;
 
 use arm_isa::program::Program;
 use processors::sim::{CompiledSim, ProcModel};
-use rcpn::artifact::{ArtifactCache, ArtifactError};
 use rcpn::batch::BatchRunner;
 use rcpn::engine::EngineConfig;
 use rcpn_bench::sweep::{render_json, EngineVariant, Sweep};
@@ -52,10 +49,6 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Bounded admission-queue capacity (≥ 1).
     pub queue_capacity: usize,
-    /// Artifact-cache directory for model warm-up. `None` compiles
-    /// fresh; `Some` reloads on hit and stores on miss, so a restarted
-    /// server warms from disk.
-    pub cache_dir: Option<PathBuf>,
 }
 
 impl Default for ServeConfig {
@@ -64,7 +57,6 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: BatchRunner::host_parallel().workers(),
             queue_capacity: 64,
-            cache_dir: None,
         }
     }
 }
@@ -74,15 +66,12 @@ impl Default for ServeConfig {
 pub enum ServeError {
     /// Socket-level failure (bind, accept-loop configuration).
     Io(std::io::Error),
-    /// Model warm-up failed (artifact store not writable, …).
-    Artifact(ArtifactError),
 }
 
 impl std::fmt::Display for ServeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ServeError::Io(e) => write!(f, "i/o error: {e}"),
-            ServeError::Artifact(e) => write!(f, "artifact error: {e}"),
         }
     }
 }
@@ -92,12 +81,6 @@ impl std::error::Error for ServeError {}
 impl From<std::io::Error> for ServeError {
     fn from(e: std::io::Error) -> Self {
         ServeError::Io(e)
-    }
-}
-
-impl From<ArtifactError> for ServeError {
-    fn from(e: ArtifactError) -> Self {
-        ServeError::Artifact(e)
     }
 }
 
@@ -118,7 +101,6 @@ pub struct Server {
     listener: TcpListener,
     local_addr: SocketAddr,
     warmed: Vec<CompiledSim>,
-    cache: Option<ArtifactCache>,
     config: ServeConfig,
     shutdown: AtomicBool,
     /// Open connections (id, socket clone): shut down at exit so blocked
@@ -130,38 +112,20 @@ pub struct Server {
 
 impl Server {
     /// Binds the listener and warms one compiled simulator per
-    /// [`ProcModel::ALL`] registry variant (through the artifact cache
-    /// when one is configured — a warm restart reloads instead of
-    /// recompiling). Compilation happens here, exactly once per model;
-    /// serving jobs never compiles.
+    /// [`ProcModel::ALL`] registry variant. Compilation happens here,
+    /// exactly once per model; serving jobs never compiles.
     ///
     /// # Errors
     ///
-    /// [`ServeError::Io`] if the address cannot be bound,
-    /// [`ServeError::Artifact`] if a freshly compiled artifact cannot be
-    /// stored into the cache.
+    /// [`ServeError::Io`] if the address cannot be bound.
     pub fn bind(config: ServeConfig) -> Result<Server, ServeError> {
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
-        let cache = match &config.cache_dir {
-            Some(dir) => Some(ArtifactCache::open(dir)?),
-            None => None,
-        };
-        let warmed = ProcModel::ALL
-            .iter()
-            .map(|&model| {
-                let cfg = model.default_config();
-                match &cache {
-                    Some(c) => CompiledSim::load_or_compile(model, &cfg, c),
-                    None => Ok(CompiledSim::new(model, &cfg)),
-                }
-            })
-            .collect::<Result<Vec<_>, _>>()?;
+        let warmed = ProcModel::ALL.iter().map(|&model| CompiledSim::of(model)).collect();
         Ok(Server {
             listener,
             local_addr,
             warmed,
-            cache,
             config,
             shutdown: AtomicBool::new(false),
             conns: Mutex::new(Vec::new()),
@@ -173,28 +137,16 @@ impl Server {
         self.local_addr
     }
 
-    /// Artifact-cache `(hits, misses, bypasses)` observed during model
-    /// warm-up; all zero when running cacheless. Serving jobs never
-    /// touches the cache, so these stay constant after [`Server::bind`] —
-    /// the loopback tests assert exactly that ("0 recompiles per job").
-    pub fn cache_counters(&self) -> (u64, u64, u64) {
-        self.cache.as_ref().map_or((0, 0, 0), |c| (c.hits(), c.misses(), c.bypasses()))
-    }
-
     /// The warmed models' labels, in registry order.
     pub fn model_labels(&self) -> Vec<String> {
         self.warmed.iter().map(|s| s.model().label().to_string()).collect()
     }
 
     fn server_info(&self) -> Reply {
-        let (cache_hits, cache_misses, cache_bypasses) = self.cache_counters();
         Reply::ServerInfo {
             models: self.model_labels(),
             workers: self.config.workers as u32,
             queue_capacity: self.config.queue_capacity as u32,
-            cache_hits,
-            cache_misses,
-            cache_bypasses,
         }
     }
 
@@ -369,7 +321,7 @@ impl Server {
             .collect();
         let sweep = Sweep::over_artifacts(variants, self.warmed.clone(), Workload::suite(scale));
         let run = sweep.run(&BatchRunner::new(1));
-        render_json(&run, &run, self.cache.as_ref())
+        render_json(&run, &run)
     }
 }
 

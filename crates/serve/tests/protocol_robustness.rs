@@ -55,17 +55,37 @@ fn oversized_length_prefix_is_rejected_before_allocation() {
 
 #[test]
 fn wrong_version_byte_gets_a_typed_error() {
-    let mut stream = TcpStream::connect(server_addr()).expect("connect");
-    let mut frame = encode_request(&Request::Hello);
-    frame[0] = PROTOCOL_VERSION + 1;
-    write_frame(&mut stream, &frame).expect("write");
-    stream.flush().expect("flush");
-    let reply = read_reply(&mut stream).expect("typed reply");
-    assert!(
-        matches!(reply, Reply::ProtoError { ref message } if message.contains("version")),
-        "expected version ProtoError, got {reply:?}"
-    );
-    assert_still_serving();
+    // Version 1 is what a client from before the ServerInfo change sends.
+    for version in [1, PROTOCOL_VERSION + 1] {
+        let mut stream = TcpStream::connect(server_addr()).expect("connect");
+        let mut frame = encode_request(&Request::Hello);
+        frame[0] = version;
+        write_frame(&mut stream, &frame).expect("write");
+        stream.flush().expect("flush");
+        let reply = read_reply(&mut stream).expect("typed reply");
+        assert!(
+            matches!(reply, Reply::ProtoError { ref message } if message.contains("version")),
+            "version {version}: expected version ProtoError, got {reply:?}"
+        );
+        assert_still_serving();
+    }
+}
+
+#[test]
+fn out_of_range_sweep_scale_gets_a_typed_error() {
+    // Each of these would size the sweep's kernels far past memory (or
+    // not at all); the server must refuse the frame, not attempt it.
+    for scale in [f64::NAN, f64::INFINITY, -1.0, 1e300] {
+        let mut stream = TcpStream::connect(server_addr()).expect("connect");
+        write_frame(&mut stream, &encode_request(&Request::RunSweep { scale })).expect("write");
+        stream.flush().expect("flush");
+        let reply = read_reply(&mut stream).expect("typed reply");
+        assert!(
+            matches!(reply, Reply::ProtoError { ref message } if message.contains("scale")),
+            "scale {scale}: expected scale ProtoError, got {reply:?}"
+        );
+        assert_still_serving();
+    }
 }
 
 #[test]

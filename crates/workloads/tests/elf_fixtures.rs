@@ -3,7 +3,7 @@
 //! re-derives each from its kernel source on every run — the fixtures can
 //! never rot silently.
 //!
-//! Blessing flow (same playbook as `artifact_format.rs`): when a kernel
+//! Blessing flow: when a kernel
 //! or the ELF writer changes intentionally, run
 //!
 //! ```text

@@ -7,7 +7,7 @@
 //! ```
 //!
 //! The same flow works across processes with the bins:
-//! `rcpn-serve serve --cache DIR` in one terminal,
+//! `rcpn-serve serve` in one terminal,
 //! `rcpn-client drive ADDR --check` in another.
 
 use rcpn_serve::client::{Admission, Client};
@@ -16,9 +16,7 @@ use workloads::Workload;
 
 fn main() {
     // Bind on an ephemeral port; this compiles (warms) every registry
-    // model exactly once. Pass `cache_dir: Some(..)` to warm from an
-    // artifact cache instead — a restart then reloads rather than
-    // recompiles.
+    // model exactly once.
     let server =
         Server::bind(ServeConfig { workers: 2, ..ServeConfig::default() }).expect("bind server");
     let addr = server.local_addr();
