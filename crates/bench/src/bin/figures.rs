@@ -6,14 +6,19 @@
 //! ```
 //!
 //! Subcommands: `fig10` (simulation performance), `fig11` (CPI), `fig2`
-//! (RCPN vs CPN model size), `ablations` (Section 4 optimizations),
-//! `effort` (Section 5 model statistics), `all`.
+//! (RCPN vs CPN model size and speed), `effort` (Section 5 model
+//! statistics), `all`. `--scale` must lie in `[0, 1]`.
+
+use std::time::Instant;
 
 use processors::sim::{CaSim, ProcModel};
-use rcpn_bench::{
-    ablation_configs, average, compiled_sim, measure, measure_ablation, measure_compiled, suite,
-    Simulator,
-};
+use rcpn::builder::ModelBuilder;
+use rcpn::engine::Engine;
+use rcpn::ids::OpClassId;
+use rcpn::model::{Machine, Model};
+use rcpn::reg::RegisterFile;
+use rcpn::token::InstrData;
+use rcpn_bench::{average, compiled_sim, measure, measure_compiled, suite, Simulator};
 use workloads::{Kernel, Workload};
 
 fn main() {
@@ -24,7 +29,14 @@ fn main() {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--scale" => {
-                scale = it.next().and_then(|s| s.parse().ok()).expect("--scale needs a number");
+                let parsed = it.next().and_then(|s| s.parse().ok());
+                scale = parsed
+                    .ok_or("--scale needs a number".to_string())
+                    .and_then(Kernel::check_scale)
+                    .unwrap_or_else(|e| {
+                        eprintln!("figures: {e}");
+                        std::process::exit(2)
+                    });
             }
             c => cmds.push(c.to_string()),
         }
@@ -37,17 +49,15 @@ fn main() {
             "fig10" => fig10(scale),
             "fig11" => fig11(scale),
             "fig2" => fig2(),
-            "ablations" => ablations(scale),
             "effort" => effort(),
             "all" => {
                 fig2();
                 effort();
                 fig11(scale);
-                ablations(scale);
                 fig10(scale);
             }
             other => {
-                eprintln!("unknown figure {other:?}; try fig10|fig11|fig2|ablations|effort|all");
+                eprintln!("unknown figure {other:?}; try fig10|fig11|fig2|effort|all");
                 std::process::exit(2);
             }
         }
@@ -109,9 +119,6 @@ fn fig10(scale: f64) {
         print!("  {} {:.1}x", proc.figure_name(), avg_of(proc.figure_name()) / base);
     }
     println!("   (paper: ~14x / ~20x, \"order of magnitude\")");
-    let sa = avg_of(Simulator::RcpnStrongArm.name());
-    let sa_exh = avg_of(Simulator::RcpnStrongArmExhaustive.name());
-    println!("activity-driven scheduler vs exhaustive sweep (StrongARM): {:.2}x", sa / sa_exh);
 }
 
 /// Figure 11: CPI of the baseline vs the RCPN StrongARM simulator.
@@ -129,23 +136,31 @@ fn fig11(scale: f64) {
     println!("RCPN-StrongArm CPI is {delta:+.1}% vs baseline (paper: ~+10%)");
 }
 
-/// Figure 1/2: model complexity of RCPN vs the equivalent CPN.
-fn fig2() {
-    header("Figure 1/2 — RCPN vs CPN model size (Fig. 2 pipeline)");
-    // The paper's Figure 2 pipeline: L1 feeds U4 (short) or U2->L2->U3.
-    use rcpn::builder::ModelBuilder;
-    use rcpn::ids::OpClassId;
-    use rcpn::token::InstrData;
+/// Instruction token of the Figure 2 pipeline: just its operation class.
+#[derive(Debug)]
+struct Tok(OpClassId);
 
-    #[derive(Debug)]
-    struct Tok(OpClassId);
-    impl InstrData for Tok {
-        fn op_class(&self) -> OpClassId {
-            self.0
-        }
+impl InstrData for Tok {
+    fn op_class(&self) -> OpClassId {
+        self.0
     }
+}
 
-    let mut b = ModelBuilder::<Tok, ()>::new();
+/// Tokens the Figure 2 source still has to issue, and how many it issued.
+#[derive(Debug)]
+struct Feed {
+    left: u32,
+    count: u64,
+}
+
+/// Tokens fed through the Figure 2 pipeline per timed run.
+const FIG2_TOKENS: u32 = 20_000;
+
+/// The paper's Figure 2 pipeline: L1 feeds U4 (short) or U2->L2->U3
+/// (long). The source issues [`FIG2_TOKENS`] tokens, every fourth one
+/// short, in the order the CPN lowering's program replays.
+fn fig2_model() -> Model<Tok, Feed> {
+    let mut b = ModelBuilder::<Tok, Feed>::new();
     let l1 = b.stage("L1", 1);
     let l2 = b.stage("L2", 1);
     let p1 = b.place("P1", l1);
@@ -156,9 +171,46 @@ fn fig2() {
     b.transition(short, "U4").from(p1).to(end).done();
     b.transition(long, "U2").from(p1).to(p2).done();
     b.transition(long, "U3").from(p2).to(end).done();
-    b.source("U1").to(p1).produce(move |_m, _fx| Some(Tok(long))).done();
-    let model = b.build().expect("fig2 model");
-    let cmp = rcpn::cpn::compare_sizes(&model).expect("structural model converts");
+    b.source("U1")
+        .to(p1)
+        .produce(move |m, _fx| {
+            if m.res.left == 0 {
+                return None;
+            }
+            m.res.left -= 1;
+            m.res.count += 1;
+            Some(Tok(if m.res.count % 4 == 1 { short } else { long }))
+        })
+        .done();
+    b.build().expect("fig2 model")
+}
+
+/// One timed run of the Figure 2 pipeline on the RCPN engine: host
+/// seconds, simulated cycles and retired tokens.
+fn fig2_rcpn_run() -> (f64, u64, u64) {
+    let feed = Feed { left: FIG2_TOKENS, count: 0 };
+    let mut e = Engine::new(fig2_model(), Machine::new(RegisterFile::new(), feed));
+    let t0 = Instant::now();
+    e.run(3 * u64::from(FIG2_TOKENS));
+    (t0.elapsed().as_secs_f64(), e.stats().cycles, e.stats().retired)
+}
+
+/// The same run on the model's standard-CPN lowering under the generic
+/// enabled-transition search.
+fn fig2_cpn_run() -> (f64, u64, u64) {
+    let program: Vec<OpClassId> =
+        (0..FIG2_TOKENS).map(|i| OpClassId::from_index(if i % 4 == 0 { 0 } else { 1 })).collect();
+    let mut net = rcpn::cpn::convert(&fig2_model(), &program).expect("structural model converts");
+    let t0 = Instant::now();
+    net.run(3 * u64::from(FIG2_TOKENS));
+    (t0.elapsed().as_secs_f64(), net.stats().cycles, net.stats().retired)
+}
+
+/// Figure 1/2: model complexity of RCPN vs the equivalent CPN, and the
+/// speed of simulating the same token game on each.
+fn fig2() {
+    header("Figure 1/2 — RCPN vs CPN model size (Fig. 2 pipeline)");
+    let cmp = rcpn::cpn::compare_sizes(&fig2_model()).expect("structural model converts");
     println!("{:<14}{:>8}{:>13}{:>8}", "", "places", "transitions", "arcs");
     println!(
         "{:<14}{:>8}{:>13}{:>8}",
@@ -170,32 +222,26 @@ fn fig2() {
         cmp.cpn_places as i64 - cmp.rcpn_places as i64,
         cmp.cpn_arcs as i64 - cmp.rcpn_arcs as i64
     );
-}
-
-/// Section 4 ablations: each optimization toggled on the StrongARM model.
-fn ablations(scale: f64) {
-    header("Section 4 ablations — StrongARM simulator speed (Mcycles/s)");
-    let ws: Vec<Workload> = [Kernel::Crc, Kernel::G721]
-        .iter()
-        .map(|&k| {
-            let size = ((k.bench_size() as f64 * scale) as usize).max(k.test_size());
-            Workload::build(k, size)
-        })
-        .collect();
-    print!("{:<22}", "");
-    for w in &ws {
-        print!("{:>10}", w.kernel.name());
+    // Alternating rounds, so host drift hits both engines alike; the
+    // reported ratio is the median round's.
+    let mut ratios = Vec::new();
+    for _ in 0..5 {
+        let (rcpn_s, rcpn_cycles, rcpn_retired) = fig2_rcpn_run();
+        let (cpn_s, cpn_cycles, cpn_retired) = fig2_cpn_run();
+        assert_eq!(rcpn_retired, u64::from(FIG2_TOKENS), "RCPN engine retires every token");
+        assert_eq!(
+            (rcpn_cycles, rcpn_retired),
+            (cpn_cycles, cpn_retired),
+            "both engines simulate the same token game"
+        );
+        ratios.push(cpn_s / rcpn_s);
     }
-    println!("{:>10}", "avg");
-    for (name, cfg, dec) in ablation_configs() {
-        let values: Vec<f64> =
-            ws.iter().map(|w| measure_ablation(w, cfg.clone(), dec).mcps()).collect();
-        print!("{name:<22}");
-        for v in &values {
-            print!("{v:>10.2}");
-        }
-        println!("{:>10.2}", average(&values));
-    }
+    ratios.sort_by(f64::total_cmp);
+    println!(
+        "RCPN engine vs CPN interpreter, {FIG2_TOKENS} tokens: {:.1}x faster (median of {} rounds)",
+        ratios[ratios.len() / 2],
+        ratios.len()
+    );
 }
 
 /// Section 5 model statistics (the machine-checkable part of the "model

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! cargo run --bin sweep                    # test-size matrix, host threads
-//! cargo run --bin sweep -- --scale 0.2     # larger workloads
+//! cargo run --bin sweep -- --scale 0.2     # larger workloads (scale in [0, 1])
 //! cargo run --bin sweep -- --workers 4     # explicit worker count
 //! cargo run --bin sweep -- --out BENCH_sweep.json
 //! ```
@@ -15,6 +15,7 @@
 
 use rcpn::batch::BatchRunner;
 use rcpn_bench::sweep::{render_json, Sweep};
+use workloads::Kernel;
 
 fn main() {
     let mut scale = 0.0f64;
@@ -27,7 +28,14 @@ fn main() {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--scale" => {
-                scale = it.next().and_then(|s| s.parse().ok()).expect("--scale needs a number");
+                let parsed = it.next().and_then(|s| s.parse().ok());
+                scale = parsed
+                    .ok_or("--scale needs a number".to_string())
+                    .and_then(Kernel::check_scale)
+                    .unwrap_or_else(|e| {
+                        eprintln!("sweep: {e}");
+                        std::process::exit(2)
+                    });
             }
             "--workers" => {
                 workers = it.next().and_then(|s| s.parse().ok()).expect("--workers needs a count");

@@ -1,17 +1,16 @@
-//! # rcpn-bench — the measurement harness for the paper's figures
+//! # rcpn-bench — table generators for the paper's figures
 //!
 //! Everything here exists to produce *honest* numbers: model compilation
 //! stays outside every timed region, and every timed run must exit with
 //! its workload's gold checksum before its time is reported — a
-//! mis-simulating configuration is a panic, never a data point. Recorded
-//! results land in the repo-root `BENCH_*.json` files; `README.md` maps
-//! each file to the paper figure or claim it reproduces.
+//! mis-simulating configuration is a panic, never a data point. The
+//! paired Figure 10 measurement is the repository benchmark in
+//! `rcpnbench/`; the tables here print one machine's rates on demand.
 //!
-//! Helpers shared by the Criterion benches and the `figures`/`sweep`
-//! binaries: timed runs of each simulator over each benchmark, the table
-//! generators for Figure 10 (simulation performance in Mcycles/s),
-//! Figure 11 (CPI), the Figure 1/2 model-size comparison, the Section 4
-//! optimization ablations, and the Section 5 model-effort summary — plus
+//! Helpers shared by the `figures`/`sweep` binaries: timed runs of each
+//! simulator over each benchmark, the table generators for Figure 10
+//! (simulation performance in Mcycles/s), Figure 11 (CPI), the Figure 1/2
+//! model-size comparison and the Section 5 model-effort summary — plus
 //! the [`sweep`] module, which batches the full
 //! {kernel × table-mode × engine-config} job matrix across worker threads
 //! on the compiled-model seam and records `BENCH_sweep.json`.
@@ -23,9 +22,7 @@ use std::time::Instant;
 
 use arm_isa::iss::Iss;
 use baseline_sim::SsArm;
-use processors::res::SimConfig;
 use processors::sim::{CompiledSim, ProcModel};
-use rcpn::engine::{EngineConfig, SchedulerMode, TableMode};
 use workloads::Workload;
 
 /// Cycle budget nothing should ever hit.
@@ -65,65 +62,30 @@ pub enum Simulator {
     RcpnStrongArm,
     /// RCPN-generated SuperARM (the spec-defined seven-stage core).
     RcpnSuperArm,
-    /// RCPN-generated StrongARM running the exhaustive-sweep scheduler
-    /// oracle (same simulation, no activity skipping) — recorded alongside
-    /// the default engine so the scheduler's speedup is a measured number.
-    RcpnStrongArmExhaustive,
-    /// RCPN-generated StrongARM with spec lowering forced to
-    /// [`rcpn::spec::Lowering::Closures`] — the pre-IR `Box<dyn Fn>`
-    /// dispatch, recorded alongside the default (IR) engine so the
-    /// micro-op-IR win is a measured number, kernel by kernel.
-    RcpnStrongArmClosure,
-    /// RCPN-generated StrongARM compiled with
-    /// [`EngineConfig::superblocks`] off — IR lowering but per-op
-    /// dispatch through the candidate walk, recorded alongside the
-    /// default (superblock) engine so the superblock win is a measured
-    /// number, kernel by kernel.
-    RcpnStrongArmPerOp,
-    /// RCPN-generated StrongARM compiled with [`EngineConfig::chains`]
-    /// off — superblock dispatch but no cross-place chain cursors,
-    /// recorded alongside the default (chained) engine so the chain win
-    /// is a measured number, kernel by kernel.
-    RcpnStrongArmChainsOff,
     /// The functional ISS (no timing; context number).
     FunctionalIss,
 }
 
 impl Simulator {
-    /// The Figure 10 measurement matrix: the paper's simulators, every
-    /// [`ProcModel`] of the processor registry, plus the
-    /// exhaustive-scheduler oracle. The fig10 bench, the `figures` table,
-    /// and the `bench_gate` CI gate all iterate this list, so it is the
-    /// single source of truth for which rows exist in `BENCH_fig10.json`
-    /// — extending it extends all three in lockstep (and the
-    /// registry-guard test fails if a `ProcModel` is missing here).
-    pub const FIG10: [Simulator; 8] = [
+    /// The Figure 10 measurement matrix: the paper's baseline plus every
+    /// [`ProcModel`] of the processor registry. The `figures fig10` table
+    /// iterates this list (and the registry-guard test fails if a
+    /// `ProcModel` is missing here).
+    pub const FIG10: [Simulator; 4] = [
         Simulator::Baseline,
         Simulator::RcpnXScale,
         Simulator::RcpnStrongArm,
         Simulator::RcpnSuperArm,
-        Simulator::RcpnStrongArmExhaustive,
-        Simulator::RcpnStrongArmClosure,
-        Simulator::RcpnStrongArmPerOp,
-        Simulator::RcpnStrongArmChainsOff,
     ];
 
-    /// For RCPN-backed simulators: the processor-registry model plus the
-    /// scheduler it runs — the single place a [`Simulator`] row is tied
-    /// to a [`ProcModel`]. `None` for the non-RCPN comparators.
-    pub fn rcpn_config(self) -> Option<(ProcModel, SchedulerMode)> {
+    /// For RCPN-backed simulators: the processor-registry model — the
+    /// single place a [`Simulator`] row is tied to a [`ProcModel`]. `None`
+    /// for the non-RCPN comparators.
+    pub fn rcpn_config(self) -> Option<ProcModel> {
         match self {
-            Simulator::RcpnXScale => Some((ProcModel::XScale, SchedulerMode::ActivityDriven)),
-            Simulator::RcpnStrongArm => Some((ProcModel::StrongArm, SchedulerMode::ActivityDriven)),
-            Simulator::RcpnSuperArm => Some((ProcModel::SuperArm, SchedulerMode::ActivityDriven)),
-            Simulator::RcpnStrongArmExhaustive => {
-                Some((ProcModel::StrongArm, SchedulerMode::Exhaustive))
-            }
-            Simulator::RcpnStrongArmClosure
-            | Simulator::RcpnStrongArmPerOp
-            | Simulator::RcpnStrongArmChainsOff => {
-                Some((ProcModel::StrongArm, SchedulerMode::ActivityDriven))
-            }
+            Simulator::RcpnXScale => Some(ProcModel::XScale),
+            Simulator::RcpnStrongArm => Some(ProcModel::StrongArm),
+            Simulator::RcpnSuperArm => Some(ProcModel::SuperArm),
             Simulator::Baseline | Simulator::FunctionalIss => None,
         }
     }
@@ -132,12 +94,8 @@ impl Simulator {
     pub fn name(self) -> &'static str {
         match self {
             Simulator::Baseline => "SimpleScalar-Arm",
-            Simulator::RcpnStrongArmExhaustive => "RCPN-StrongArm-Exhaustive",
-            Simulator::RcpnStrongArmClosure => "RCPN-StrongArm-Closure",
-            Simulator::RcpnStrongArmPerOp => "RCPN-StrongArm-PerOp",
-            Simulator::RcpnStrongArmChainsOff => "RCPN-StrongArm-ChainsOff",
             Simulator::FunctionalIss => "Functional-ISS",
-            rcpn => rcpn.rcpn_config().expect("RCPN simulator").0.figure_name(),
+            rcpn => rcpn.rcpn_config().expect("RCPN simulator").figure_name(),
         }
     }
 }
@@ -173,45 +131,20 @@ pub fn measure(sim: Simulator, w: &Workload) -> Measurement {
     }
 }
 
-/// The processor model and full simulator configuration an RCPN-backed
-/// [`Simulator`] compiles with, or `None` for the non-RCPN comparators.
-fn rcpn_sim_config(sim: Simulator) -> Option<(ProcModel, SimConfig)> {
-    let (proc, scheduler) = sim.rcpn_config()?;
-    let mut config = proc.default_config();
-    config.engine.scheduler = scheduler;
-    if sim == Simulator::RcpnStrongArmClosure {
-        // The closure row reproduces the pre-IR engine wholesale:
-        // `Box<dyn Fn>` dispatch and no superblocks (pass-through steps
-        // would otherwise still form guardless blocks).
-        config.lowering = rcpn::spec::Lowering::Closures;
-        config.engine.superblocks = false;
-        config.engine.chains = false;
-    }
-    if sim == Simulator::RcpnStrongArmPerOp {
-        // Chains link superblocks, so the per-op row turns both off.
-        config.engine.superblocks = false;
-        config.engine.chains = false;
-    }
-    if sim == Simulator::RcpnStrongArmChainsOff {
-        config.engine.chains = false;
-    }
-    Some((proc, config))
-}
-
 /// The compiled (generated) simulator for an RCPN-backed [`Simulator`],
 /// or `None` for the non-RCPN comparators. Build it once and pass it to
 /// [`measure_compiled`] to keep model compilation out of the timed region
-/// and out of per-iteration bench loops.
+/// and out of per-kernel loops.
 pub fn compiled_sim(sim: Simulator) -> Option<CompiledSim> {
-    let (proc, config) = rcpn_sim_config(sim)?;
-    Some(CompiledSim::new(proc, &config))
+    let proc = sim.rcpn_config()?;
+    Some(CompiledSim::new(proc, &proc.default_config()))
 }
 
 /// Runs one instantiation of a compiled simulator over one workload,
 /// timed, verifying the checksum. Only the simulation itself is inside
 /// the timed region — neither model compilation nor per-program
-/// instantiation — matching how the baseline and ablation paths
-/// construct their simulators before starting the clock.
+/// instantiation — matching how the baseline path constructs its
+/// simulator before starting the clock.
 ///
 /// # Panics
 ///
@@ -222,56 +155,6 @@ pub fn measure_compiled(compiled: &CompiledSim, w: &Workload) -> Measurement {
     let r = s.run(MAX_CYCLES);
     let seconds = t0.elapsed().as_secs_f64();
     assert_eq!(r.exit, Some(w.expected), "{}/{}", compiled.model().figure_name(), w.kernel);
-    Measurement { cycles: r.cycles, instrs: r.instrs, seconds }
-}
-
-/// The ablation configurations, with labels: engine config plus the
-/// decode-cache flag.
-pub fn ablation_configs() -> Vec<(&'static str, EngineConfig, bool)> {
-    vec![
-        ("full-optimizations", EngineConfig::default(), true),
-        (
-            "tables:per-place",
-            EngineConfig { table_mode: TableMode::PerPlace, ..Default::default() },
-            true,
-        ),
-        (
-            "tables:full-scan",
-            EngineConfig { table_mode: TableMode::FullScan, ..Default::default() },
-            true,
-        ),
-        (
-            "two-list-everywhere",
-            EngineConfig { two_list_everywhere: true, ..Default::default() },
-            true,
-        ),
-        (
-            "sched:exhaustive",
-            EngineConfig { scheduler: SchedulerMode::Exhaustive, ..Default::default() },
-            true,
-        ),
-        (
-            "dispatch:per-op",
-            EngineConfig { superblocks: false, chains: false, ..Default::default() },
-            true,
-        ),
-        ("dispatch:chains-off", EngineConfig { chains: false, ..Default::default() }, true),
-        ("no-decode-cache", EngineConfig::default(), false),
-    ]
-}
-
-/// Runs one ablation row (engine config + decode-cache flag), timed.
-///
-/// # Panics
-///
-/// Panics if the run does not exit with the gold checksum.
-pub fn measure_ablation(w: &Workload, engine: EngineConfig, decode_cache: bool) -> Measurement {
-    let config = SimConfig { engine, decode_cache, ..SimConfig::strongarm() };
-    let mut s = CompiledSim::new(ProcModel::StrongArm, &config).instantiate(&w.program);
-    let t0 = Instant::now();
-    let r = s.run(MAX_CYCLES);
-    let seconds = t0.elapsed().as_secs_f64();
-    assert_eq!(r.exit, Some(w.expected), "ablation/{}", w.kernel);
     Measurement { cycles: r.cycles, instrs: r.instrs, seconds }
 }
 
@@ -316,23 +199,13 @@ mod tests {
     fn processor_registry_reaches_every_harness() {
         for proc in ProcModel::ALL {
             assert!(
-                Simulator::FIG10.iter().any(|s| s.rcpn_config().map(|(p, _)| p) == Some(proc)),
+                Simulator::FIG10.iter().any(|s| s.rcpn_config() == Some(proc)),
                 "{proc:?} missing from the fig10 matrix"
             );
             assert!(
                 crate::sweep::engine_axis().iter().any(|v| v.proc == proc),
                 "{proc:?} missing from the sweep engine axis"
             );
-        }
-    }
-
-    #[test]
-    fn ablations_change_speed_never_simulated_time() {
-        let w = Workload::build(Kernel::Crc, 64);
-        let base = measure_ablation(&w, EngineConfig::default(), true);
-        for (name, cfg, dec) in ablation_configs() {
-            let m = measure_ablation(&w, cfg, dec);
-            assert_eq!(m.cycles, base.cycles, "{name}");
         }
     }
 

@@ -468,6 +468,10 @@ mod tests {
         assert_eq!(run.rows[0].stats, run.rows[1].stats, "Stats are scheduler-independent");
         assert!(run.rows[0].sched.place_skips > 0, "activity variant shows sparsity");
         assert_eq!(run.rows[1].sched.place_skips, 0, "the oracle never skips");
+        // Superblock and chain formation are scheduler-independent: the
+        // oracle dispatches through both fast paths too.
+        assert!(run.rows[1].sched.superblocks_entered > 0, "the oracle enters superblocks");
+        assert!(run.rows[1].sched.chain_links_fired > 0, "the oracle fires chain links");
     }
 
     /// The dispatch axis is a speed knob only: the closure-lowered row

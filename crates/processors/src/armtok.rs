@@ -525,38 +525,23 @@ impl DecInstr {
 }
 
 /// Per-address decode cache (the paper's token cache).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct DecodeCache {
     entries: Vec<Option<Rc<DecInstr>>>,
     /// Cache hits (reused templates).
     pub hits: u64,
     /// Cache misses (fresh decodes).
     pub misses: u64,
-    enabled: bool,
 }
 
 impl DecodeCache {
     /// A cache covering addresses below `text_limit`.
     pub fn new(text_limit: u32) -> Self {
-        DecodeCache {
-            entries: vec![None; (text_limit as usize).div_ceil(4)],
-            hits: 0,
-            misses: 0,
-            enabled: true,
-        }
-    }
-
-    /// A disabled cache: every lookup decodes afresh (ablation mode).
-    pub fn disabled() -> Self {
-        DecodeCache { entries: Vec::new(), hits: 0, misses: 0, enabled: false }
+        DecodeCache { entries: vec![None; (text_limit as usize).div_ceil(4)], hits: 0, misses: 0 }
     }
 
     /// Returns the decode template for `word` at `pc`.
     pub fn lookup(&mut self, pc: u32, word: u32) -> Rc<DecInstr> {
-        if !self.enabled {
-            self.misses += 1;
-            return Rc::new(decode_word(word, pc));
-        }
         let idx = (pc >> 2) as usize;
         if idx < self.entries.len() {
             if let Some(d) = &self.entries[idx] {
@@ -680,12 +665,6 @@ mod tests {
         assert!(Rc::ptr_eq(&a, &b), "second lookup reuses the template");
         assert_eq!(cache.hits, 1);
         assert_eq!(cache.misses, 1);
-
-        let mut off = DecodeCache::disabled();
-        let a = off.lookup(0, p.words[0]);
-        let b = off.lookup(0, p.words[0]);
-        assert!(!Rc::ptr_eq(&a, &b));
-        assert_eq!(off.misses, 2);
     }
 
     #[test]

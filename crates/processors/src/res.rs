@@ -24,8 +24,6 @@ pub struct SimConfig {
     /// Use a BTB front end (XScale) instead of predict-not-taken
     /// (StrongARM).
     pub btb: bool,
-    /// Enable the decode/token cache (ablation toggle; on by default).
-    pub decode_cache: bool,
     /// How spec-synthesized read steps are represented:
     /// [`rcpn::spec::Lowering::Auto`] (micro-op IR, the default) or
     /// [`rcpn::spec::Lowering::Closures`] (the pre-IR dispatch, kept as
@@ -42,7 +40,6 @@ impl SimConfig {
             icache: CacheConfig::strongarm_16k(),
             dcache: CacheConfig::strongarm_16k(),
             btb: false,
-            decode_cache: true,
             lowering: rcpn::spec::Lowering::Auto,
             engine: rcpn::engine::EngineConfig::default(),
         }
@@ -54,7 +51,6 @@ impl SimConfig {
             icache: CacheConfig::xscale_32k(),
             dcache: CacheConfig::xscale_32k(),
             btb: true,
-            decode_cache: true,
             lowering: rcpn::spec::Lowering::Auto,
             engine: rcpn::engine::EngineConfig::default(),
         }
@@ -138,11 +134,7 @@ impl ArmRes {
             btb: if config.btb { Some(Btb::xscale()) } else { None },
             pc: program.entry,
             cpsr: Psr::new(),
-            dec_cache: if config.decode_cache {
-                DecodeCache::new(text_limit)
-            } else {
-                DecodeCache::disabled()
-            },
+            dec_cache: DecodeCache::new(text_limit),
             output: Vec::new(),
             input: SysInput::default(),
             brk: program.image_end(),

@@ -49,8 +49,8 @@ impl ProcModel {
         }
     }
 
-    /// The paper-figure legend name (e.g. `"RCPN-StrongArm"` in
-    /// `BENCH_fig10.json` rows).
+    /// The paper-figure legend name (e.g. `"RCPN-StrongArm"` in the
+    /// `figures fig10` table).
     pub fn figure_name(self) -> &'static str {
         match self {
             ProcModel::StrongArm => "RCPN-StrongArm",

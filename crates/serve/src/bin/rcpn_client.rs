@@ -26,7 +26,7 @@ use processors::sim::{CompiledSim, ProcModel};
 use rcpn::batch::BatchRunner;
 use rcpn_bench::MAX_CYCLES;
 use rcpn_serve::client::{Admission, Client};
-use workloads::Workload;
+use workloads::{Kernel, Workload};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -192,11 +192,12 @@ fn sweep(addr: &str, flags: &[String]) -> Result<ExitCode, Box<dyn std::error::E
     while let Some(flag) = it.next() {
         match flag.as_str() {
             "--scale" => {
-                scale = it
+                let value: f64 = it
                     .next()
                     .ok_or("--scale needs a value")?
                     .parse()
                     .map_err(|e| format!("--scale: {e}"))?;
+                scale = Kernel::check_scale(value)?;
             }
             "--out" => out = Some(it.next().ok_or("--out needs a value")?.clone()),
             other => return Err(format!("unknown flag {other:?}").into()),

@@ -108,7 +108,8 @@ pub enum Request {
         /// Workload size scale in `[0.0, 1.0]` (see
         /// `workloads::Kernel::scaled_size`; `0.0` floors at the test
         /// sizes, `1.0` is the bench size). Anything else — negative,
-        /// above 1.0, NaN or infinite — is rejected at decode as
+        /// above 1.0, NaN or infinite — fails
+        /// `workloads::Kernel::check_scale` and is rejected at decode as
         /// [`WireError::Corrupt`].
         scale: f64,
     },
@@ -687,14 +688,8 @@ pub fn decode_request(bytes: &[u8]) -> Result<Request, WireError> {
             })
         }
         TAG_RUN_SWEEP => {
-            // The scale sizes every kernel of the sweep; an unbounded one
-            // would ask the server for a `usize::MAX`-sized workload.
-            let scale = d.f64("RunSweep")?;
-            if !(0.0..=1.0).contains(&scale) {
-                return Err(WireError::Corrupt {
-                    detail: format!("RunSweep scale {scale} is outside [0, 1]"),
-                });
-            }
+            let scale = workloads::Kernel::check_scale(d.f64("RunSweep")?)
+                .map_err(|e| WireError::Corrupt { detail: format!("RunSweep {e}") })?;
             Request::RunSweep { scale }
         }
         TAG_SHUTDOWN => Request::Shutdown,

@@ -81,6 +81,22 @@ impl Kernel {
         }
     }
 
+    /// Accepts a size scale for [`Kernel::scaled_size`]: finite and inside
+    /// `[0, 1]`. Every front end (command lines, the wire decoder) checks
+    /// with this before sizing a workload; an unbounded scale would ask
+    /// for a `usize::MAX`-sized one.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the rejected scale.
+    pub fn check_scale(scale: f64) -> Result<f64, String> {
+        if (0.0..=1.0).contains(&scale) {
+            Ok(scale)
+        } else {
+            Err(format!("scale {scale:?} is outside [0, 1]"))
+        }
+    }
+
     /// Problem size at `scale` relative to [`Kernel::bench_size`], floored
     /// at [`Kernel::test_size`] so a scaled workload always does real work.
     ///
@@ -231,6 +247,17 @@ mod tests {
             ]
         );
         assert_eq!(Kernel::Crc.scaled_size(1e-9), Kernel::Crc.test_size(), "floor at test size");
+    }
+
+    #[test]
+    fn scale_is_checked_at_its_boundaries() {
+        for scale in [0.0, 0.5, 1.0] {
+            assert_eq!(Kernel::check_scale(scale), Ok(scale));
+        }
+        for scale in [-1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1.0 + f64::EPSILON, 1e300] {
+            let err = Kernel::check_scale(scale).expect_err("out-of-range scale is rejected");
+            assert!(err.contains("scale"), "{err}");
+        }
     }
 
     #[test]
