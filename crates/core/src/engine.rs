@@ -60,9 +60,12 @@
 //! [`SchedulerMode::Exhaustive`] keeps the verbatim Figure 8 sweep as the
 //! differential-testing oracle (and as the honest ablation baseline).
 //!
-//! Three optimizations from the paper are implemented and individually
+//! The paper's optimizations are implemented and individually
 //! switchable through [`EngineConfig`] so their contribution can be
-//! measured (see the `ablations` bench):
+//! measured: every variant is a point on the engine axis of the batch
+//! sweep (`rcpn_bench::sweep::engine_axis`, timed per model and kernel
+//! into `BENCH_sweep.json`), and `rcpnbench` measures the default
+//! configuration against SimpleScalar-Arm:
 //!
 //! * [`TableMode::PerPlaceClass`] — the `sorted_transitions[p, IType]`
 //!   table; alternatives re-introduce the search cost the paper eliminates.
@@ -531,7 +534,7 @@ impl<D: InstrData, R> EngineState<D, R> {
             self.res_wake[pi] = next_expiry;
             let stage = plan.hot_place[pi].stage as usize;
             for &id in &expired {
-                self.pool.take(id);
+                self.pool.discard(id);
                 self.stage_occ[stage] -= 1;
             }
             expired.clear();
@@ -707,98 +710,95 @@ impl<D: InstrData, R> EngineState<D, R> {
         self.sched.place_visits += 1;
         self.wake[pi] = u64::MAX;
         let mut next_wake = u64::MAX;
-        let mut snapshot = std::mem::take(&mut self.scratch);
-        snapshot.clear();
-        snapshot.extend_from_slice(&self.live[pi]);
-        self.sched.token_visits += snapshot.len() as u64;
         let mut fired_any = false;
 
-        for &id in &snapshot {
-            let Some(tok) = self.pool.get(id) else { continue };
-            if tok.place != p || tok.kind != TokenKind::Instruction {
-                continue;
-            }
-            if tok.ready_at > self.cycle {
-                next_wake = next_wake.min(tok.ready_at);
-                continue;
-            }
-            let class = tok.data.as_ref().expect("instruction token has data").op_class();
-            if let Some(sb) = plan.sb_lookup(pi, class.index()) {
-                // Direct-threaded fast path: the (place, class) pair was
-                // pre-resolved to its single pure-data transition at
-                // compile time; no candidate walk needed.
-                if self.try_fire_superblock(plan, sb, id, p, false) {
+        if self.live[pi].len() == 1 {
+            // A lone token needs no snapshot: the visit is the whole scan.
+            let id = self.live[pi][0];
+            self.sched.token_visits += 1;
+            fired_any = self.visit_token(model, plan, p, id, &mut next_wake);
+        } else {
+            let mut snapshot = std::mem::take(&mut self.scratch);
+            snapshot.clear();
+            snapshot.extend_from_slice(&self.live[pi]);
+            self.sched.token_visits += snapshot.len() as u64;
+            for &id in &snapshot {
+                if self.visit_token(model, plan, p, id, &mut next_wake) {
                     fired_any = true;
-                } else {
-                    self.stats.stalls += 1;
-                    self.stats.place_stalls[pi] += 1;
-                    next_wake = next_wake.min(self.cycle + 1);
                 }
-                // Superblock ops cannot halt; no halted check needed.
-                continue;
+                if self.halted {
+                    break;
+                }
             }
-            let fired = match &plan.lookup {
+            self.scratch = snapshot;
+        }
+
+        self.wake[pi] = self.wake[pi].min(next_wake);
+        fired_any
+    }
+
+    /// One token of a [`EngineState::process_place`] scan: skips tokens
+    /// that have left `p`, reservations and delayed tokens (lowering
+    /// `next_wake` to their `ready_at`), otherwise tries the token's
+    /// candidate transitions. Returns whether one fired; a ready token
+    /// that stalled lowers `next_wake` to the next cycle.
+    #[inline]
+    fn visit_token(
+        &mut self,
+        model: &Model<D, R>,
+        plan: &ExecPlan,
+        p: PlaceId,
+        id: TokenId,
+        next_wake: &mut u64,
+    ) -> bool {
+        let pi = p.index();
+        let Some(tok) = self.pool.get(id) else { return false };
+        if tok.place != p || tok.kind != TokenKind::Instruction {
+            return false;
+        }
+        if tok.ready_at > self.cycle {
+            *next_wake = (*next_wake).min(tok.ready_at);
+            return false;
+        }
+        let class = tok.data.as_ref().expect("instruction token has data").op_class();
+        let fired = if let Some(sb) = plan.sb_lookup(pi, class.index()) {
+            // Direct-threaded fast path: the (place, class) pair was
+            // pre-resolved to its single pure-data transition at compile
+            // time; no candidate walk needed.
+            self.try_fire_superblock(plan, sb, id, p, false)
+        } else {
+            match &plan.lookup {
                 Lookup::PerPlaceClass { flat, span, n_classes } => {
                     let (start, len) = span[pi * n_classes + class.index()];
-                    let mut fired = false;
-                    for k in start..start + u32::from(len) {
-                        let tid = flat[k as usize] as usize;
-                        if self.try_fire(model, plan, tid, id, p) {
-                            fired = true;
-                            break;
-                        }
-                    }
-                    fired
+                    (start..start + u32::from(len))
+                        .any(|k| self.try_fire(model, plan, flat[k as usize] as usize, id, p))
                 }
                 Lookup::PerPlace { flat, span } => {
                     let subnet = plan.subnet_of_class[class.index()];
                     let (start, len) = span[pi];
-                    let mut fired = false;
-                    for k in start..start + u32::from(len) {
+                    (start..start + u32::from(len)).any(|k| {
                         let tid = flat[k as usize] as usize;
-                        if plan.subnet_of_trans[tid] != subnet {
-                            continue;
-                        }
-                        if self.try_fire(model, plan, tid, id, p) {
-                            fired = true;
-                            break;
-                        }
-                    }
-                    fired
+                        plan.subnet_of_trans[tid] == subnet
+                            && self.try_fire(model, plan, tid, id, p)
+                    })
                 }
                 Lookup::FullScan { order } => {
                     let subnet = plan.subnet_of_class[class.index()];
-                    let mut fired = false;
-                    for &t in order {
+                    order.iter().any(|&t| {
                         let tid = t as usize;
-                        if plan.input_of_trans[tid] as usize != pi
-                            || plan.subnet_of_trans[tid] != subnet
-                        {
-                            continue;
-                        }
-                        if self.try_fire(model, plan, tid, id, p) {
-                            fired = true;
-                            break;
-                        }
-                    }
-                    fired
+                        plan.input_of_trans[tid] as usize == pi
+                            && plan.subnet_of_trans[tid] == subnet
+                            && self.try_fire(model, plan, tid, id, p)
+                    })
                 }
-            };
-            if fired {
-                fired_any = true;
-            } else {
-                self.stats.stalls += 1;
-                self.stats.place_stalls[pi] += 1;
-                next_wake = next_wake.min(self.cycle + 1);
             }
-            if self.halted {
-                break;
-            }
+        };
+        if !fired {
+            self.stats.stalls += 1;
+            self.stats.place_stalls[pi] += 1;
+            *next_wake = (*next_wake).min(self.cycle + 1);
         }
-
-        self.scratch = snapshot;
-        self.wake[pi] = self.wake[pi].min(next_wake);
-        fired_any
+        fired
     }
 
     /// Checks capacity / extra inputs / guard; fires if enabled.
@@ -961,10 +961,7 @@ impl<D: InstrData, R> EngineState<D, R> {
         // Move the token.
         let mut seq = 0;
         if sb.dest_is_end {
-            let tok = self.pool.take(token);
-            if self.cfg.trace {
-                seq = tok.seq;
-            }
+            seq = self.pool.discard(token);
             let leaked = self.machine.regs.release(token);
             self.stats.leaked_reservations += leaked as u64;
             self.stats.retired += 1;
@@ -1087,12 +1084,11 @@ impl<D: InstrData, R> EngineState<D, R> {
         self.remove_from_place(plan, place.index(), token, TokenKind::Instruction);
 
         // Run the action, collecting side effects into the reusable
-        // scratch collector (its buffers persist across fires, so emitting
-        // actions stop allocating per fire).
-        let mut fx = std::mem::replace(&mut self.fx, Fx::new(None));
-        debug_assert!(
-            fx.emits.is_empty() && fx.flush_places.is_empty() && fx.reserves.is_empty() && !fx.halt
-        );
+        // scratch collector in place (its buffers persist across fires, so
+        // emitting actions stop allocating per fire, and the collector
+        // itself is never moved on this path).
+        let fx = &mut self.fx;
+        debug_assert!(fx.is_drained());
         fx.token = Some(token);
         fx.token_delay = None;
         let mut has_fx = false;
@@ -1106,7 +1102,7 @@ impl<D: InstrData, R> EngineState<D, R> {
             if matches!(disp.guard, GuardCode::Fused { .. }) {
                 // The fused guard just passed for this very token; latch
                 // each operand from the source it memoized.
-                ir::fused_acquire(&mut self.machine, data, &mut fx, &self.fused_memo);
+                ir::fused_acquire(&mut self.machine, data, fx, &self.fused_memo);
             }
             match disp.action {
                 ActionCode::None => {}
@@ -1114,29 +1110,24 @@ impl<D: InstrData, R> EngineState<D, R> {
                     let Some(ActionKind::Closure(action)) = &model.transitions[tid].action else {
                         unreachable!("ActionCode::Closure implies a closure action")
                     };
-                    action(&mut self.machine, data, &mut fx);
+                    action(&mut self.machine, data, fx);
                 }
                 ActionCode::Prog(idx) => ir::run_action(
                     plan.programs[idx as usize].ops(),
                     &mut self.machine,
                     data,
-                    &mut fx,
+                    fx,
                     &model.hooks,
                 ),
             }
-            has_fx = !fx.emits.is_empty()
-                || !fx.flush_places.is_empty()
-                || !fx.reserves.is_empty()
-                || fx.halt;
+            has_fx = !fx.is_drained();
         }
+        let token_delay = fx.token_delay;
 
         // Move the token.
         let mut seq = 0;
         if h.dest_is_end {
-            let tok = self.pool.take(token);
-            if self.cfg.trace {
-                seq = tok.seq;
-            }
+            seq = self.pool.discard(token);
             let leaked = self.machine.regs.release(token);
             self.stats.leaked_reservations += leaked as u64;
             self.stats.retired += 1;
@@ -1148,7 +1139,7 @@ impl<D: InstrData, R> EngineState<D, R> {
                 });
             }
         } else {
-            let eff = match fx.token_delay {
+            let eff = match token_delay {
                 None => h.base_ready,
                 Some(d) => h.tdelay + u64::from(d),
             };
@@ -1201,10 +1192,8 @@ impl<D: InstrData, R> EngineState<D, R> {
         }
 
         if has_fx {
-            self.apply_fx(model, plan, &mut fx);
+            self.apply_fx(model, plan);
         }
-        fx.token = None;
-        self.fx = fx;
         self.stats.fires[tid] += 1;
         if self.cfg.trace {
             self.trace.push(TraceEvent::Fired {
@@ -1215,9 +1204,12 @@ impl<D: InstrData, R> EngineState<D, R> {
         }
     }
 
-    /// Applies and drains the collected side effects, leaving `fx` empty
-    /// (so its buffers can be reused by the next firing).
-    fn apply_fx(&mut self, model: &Model<D, R>, plan: &ExecPlan, fx: &mut Fx<D>) {
+    /// Applies and drains the side effects collected in `self.fx`,
+    /// leaving it empty (so its buffers can be reused by the next
+    /// firing). The only path that moves the collector out of the state:
+    /// applying effects re-enters the engine (token insertion, flushes).
+    fn apply_fx(&mut self, model: &Model<D, R>, plan: &ExecPlan) {
+        let mut fx = std::mem::replace(&mut self.fx, Fx::new(None));
         let cycle = self.cycle;
         for (place, expire) in fx.reserves.drain(..) {
             // Always-on (res_places is sorted; the search is cheap and
@@ -1251,6 +1243,7 @@ impl<D: InstrData, R> EngineState<D, R> {
             self.halted = true;
             fx.halt = false;
         }
+        self.fx = fx;
     }
 
     /// Squashes every token in `place`, releasing register reservations.
@@ -1300,22 +1293,15 @@ impl<D: InstrData, R> EngineState<D, R> {
                         break;
                     }
                 }
-                let mut fx = std::mem::replace(&mut self.fx, Fx::new(None));
-                debug_assert!(
-                    fx.emits.is_empty()
-                        && fx.flush_places.is_empty()
-                        && fx.reserves.is_empty()
-                        && !fx.halt
-                );
+                let fx = &mut self.fx;
+                debug_assert!(fx.is_drained());
                 fx.token = None;
                 fx.token_delay = None;
-                let payload = {
-                    let produce = &model.sources[si].produce;
-                    produce(&mut self.machine, &mut fx)
-                };
+                let payload = (model.sources[si].produce)(&mut self.machine, fx);
+                let (token_delay, has_fx) = (fx.token_delay, !fx.is_drained());
                 let produced = payload.is_some();
                 if let Some(data) = payload {
-                    let eff = match fx.token_delay {
+                    let eff = match token_delay {
                         None => hp.delay,
                         Some(d) => u64::from(d),
                     };
@@ -1364,14 +1350,9 @@ impl<D: InstrData, R> EngineState<D, R> {
                         });
                     }
                 }
-                if !fx.emits.is_empty()
-                    || !fx.flush_places.is_empty()
-                    || !fx.reserves.is_empty()
-                    || fx.halt
-                {
-                    self.apply_fx(model, plan, &mut fx);
+                if has_fx {
+                    self.apply_fx(model, plan);
                 }
-                self.fx = fx;
                 if self.halted || !produced {
                     break;
                 }

@@ -201,6 +201,17 @@ impl<D> Fx<D> {
         }
     }
 
+    /// True when no deferred effect (emit, flush, reservation, halt) is
+    /// pending — the state the engine keeps the collector in between
+    /// firings.
+    #[inline]
+    pub(crate) fn is_drained(&self) -> bool {
+        self.emits.is_empty()
+            && self.flush_places.is_empty()
+            && self.reserves.is_empty()
+            && !self.halt
+    }
+
     /// The id of the firing token. Needed for `reserveWrite`/`writeback`.
     ///
     /// # Panics

@@ -50,13 +50,21 @@ pub struct Writer {
     pub value: Option<u32>,
 }
 
-#[derive(Debug, Clone)]
-struct RegDef {
-    name: String,
-    cells: Vec<u16>,
+/// A register's span in the flat cell-index arena.
+#[derive(Debug, Clone, Copy)]
+struct RegSpan {
+    start: u32,
+    len: u32,
 }
 
 /// Register storage plus the writers scoreboard.
+///
+/// Besides the per-cell scoreboard, the file keeps a *token-indexed
+/// record*: for every token pool slot, a bitset (one `u64` word per 64
+/// cells) of the cells whose scoreboard entry belongs to a token in that
+/// slot. The per-move bookkeeping ([`RegisterFile::note_move`],
+/// [`RegisterFile::release`]) walks only the set bits, so its cost is
+/// the number of cells the token holds, not the size of the file.
 ///
 /// # Examples
 ///
@@ -72,13 +80,30 @@ struct RegDef {
 pub struct RegisterFile {
     cells: Vec<u32>,
     writers: Vec<Option<Writer>>,
-    regs: Vec<RegDef>,
+    names: Vec<String>,
+    spans: Vec<RegSpan>,
+    /// Every register's cell indices, back to back (see `spans`).
+    arena: Vec<u16>,
+    /// The token-indexed record: `words` bitset words per token slot.
+    /// Bit `c` of slot `s` is set exactly when `writers[c]` holds a token
+    /// whose slot is `s` (of any generation).
+    held: Vec<u64>,
+    /// Bitset words per token slot: `ceil(cells / 64)`.
+    words: usize,
 }
 
 impl RegisterFile {
     /// Creates an empty register file.
     pub fn new() -> Self {
-        RegisterFile { cells: Vec::new(), writers: Vec::new(), regs: Vec::new() }
+        RegisterFile {
+            cells: Vec::new(),
+            writers: Vec::new(),
+            names: Vec::new(),
+            spans: Vec::new(),
+            arena: Vec::new(),
+            held: Vec::new(),
+            words: 0,
+        }
     }
 
     /// Declares a register backed by one fresh storage cell.
@@ -86,8 +111,25 @@ impl RegisterFile {
         let cell = self.cells.len() as u16;
         self.cells.push(0);
         self.writers.push(None);
-        self.regs.push(RegDef { name: name.to_string(), cells: vec![cell] });
-        RegId::from_index(self.regs.len() - 1)
+        let words = self.cells.len().div_ceil(64);
+        if words != self.words {
+            // The file just crossed a 64-cell boundary: every token slot's
+            // record gains one (empty) word.
+            let held = std::mem::take(&mut self.held);
+            self.held = held
+                .chunks(self.words.max(1))
+                .flat_map(|rec| rec.iter().copied().chain([0]))
+                .collect();
+            self.words = words;
+        }
+        self.push_register(name, &[cell])
+    }
+
+    fn push_register(&mut self, name: &str, cells: &[u16]) -> RegId {
+        self.spans.push(RegSpan { start: self.arena.len() as u32, len: cells.len() as u32 });
+        self.arena.extend_from_slice(cells);
+        self.names.push(name.to_string());
+        RegId::from_index(self.names.len() - 1)
     }
 
     /// Declares `n` registers named `prefix0..prefix{n-1}`, returning their ids.
@@ -108,48 +150,55 @@ impl RegisterFile {
     pub fn add_overlapping(&mut self, name: &str, over: &[RegId]) -> RegId {
         assert!(!over.is_empty(), "overlapping register must cover at least one register");
         let mut cells = Vec::new();
-        for r in over {
-            for &c in &self.regs[r.index()].cells {
+        for &r in over {
+            for &c in self.cells_of(r) {
                 if !cells.contains(&c) {
                     cells.push(c);
                 }
             }
         }
-        self.regs.push(RegDef { name: name.to_string(), cells });
-        RegId::from_index(self.regs.len() - 1)
+        self.push_register(name, &cells)
+    }
+
+    /// The storage cells backing `reg`.
+    #[inline]
+    fn cells_of(&self, reg: RegId) -> &[u16] {
+        let s = self.spans[reg.index()];
+        &self.arena[s.start as usize..(s.start + s.len) as usize]
     }
 
     /// Number of declared registers.
     pub fn len(&self) -> usize {
-        self.regs.len()
+        self.names.len()
     }
 
     /// Whether no registers have been declared.
     pub fn is_empty(&self) -> bool {
-        self.regs.is_empty()
+        self.names.is_empty()
     }
 
     /// The name a register was declared with.
     pub fn name(&self, reg: RegId) -> &str {
-        &self.regs[reg.index()].name
+        &self.names[reg.index()]
     }
 
     /// Looks up a register by name.
     pub fn find(&self, name: &str) -> Option<RegId> {
-        self.regs.iter().position(|r| r.name == name).map(RegId::from_index)
+        self.names.iter().position(|n| n == name).map(RegId::from_index)
     }
 
     /// Architectural value of a register (its primary cell).
     #[inline]
     pub fn value_of(&self, reg: RegId) -> u32 {
-        self.cells[self.regs[reg.index()].cells[0] as usize]
+        self.cells[self.arena[self.spans[reg.index()].start as usize] as usize]
     }
 
     /// Directly sets the architectural value, bypassing hazard tracking.
     /// Intended for initialization and for functional-simulator use.
     #[inline]
     pub fn poke(&mut self, reg: RegId, value: u32) {
-        for &c in &self.regs[reg.index()].cells {
+        let s = self.spans[reg.index()];
+        for &c in &self.arena[s.start as usize..(s.start + s.len) as usize] {
             self.cells[c as usize] = value;
         }
     }
@@ -157,13 +206,13 @@ impl RegisterFile {
     /// The scoreboard entry covering a register, if any cell is reserved.
     #[inline]
     pub fn writer_of(&self, reg: RegId) -> Option<&Writer> {
-        self.regs[reg.index()].cells.iter().find_map(|&c| self.writers[c as usize].as_ref())
+        self.cells_of(reg).iter().find_map(|&c| self.writers[c as usize].as_ref())
     }
 
     /// True if no in-flight instruction has reserved any cell of `reg`.
     #[inline]
     pub fn readable(&self, reg: RegId) -> bool {
-        self.regs[reg.index()].cells.iter().all(|&c| self.writers[c as usize].is_none())
+        self.cells_of(reg).iter().all(|&c| self.writers[c as usize].is_none())
     }
 
     /// True if `reg` can be reserved for writing (no outstanding writer on
@@ -174,6 +223,22 @@ impl RegisterFile {
         self.readable(reg)
     }
 
+    /// The record words of token slot `slot`, grown on first use.
+    #[inline]
+    fn record_mut(&mut self, slot: usize) -> &mut [u64] {
+        let base = slot * self.words;
+        if self.held.len() < base + self.words {
+            self.held.resize(base + self.words, 0);
+        }
+        &mut self.held[base..base + self.words]
+    }
+
+    /// Clears bit `cell` in the record of token slot `slot`.
+    #[inline]
+    fn unrecord(&mut self, slot: usize, cell: usize) {
+        self.held[slot * self.words + cell / 64] &= !(1u64 << (cell % 64));
+    }
+
     /// Reserves every cell of `reg` for `token`, currently in state `place`.
     ///
     /// # Panics
@@ -181,20 +246,27 @@ impl RegisterFile {
     /// Panics (debug builds) if a cell is already reserved by a different
     /// token; models must check [`RegisterFile::writable`] in the guard.
     pub fn reserve_write(&mut self, reg: RegId, token: TokenId, place: PlaceId) {
-        for &c in &self.regs[reg.index()].cells {
-            debug_assert!(
-                self.writers[c as usize].is_none_or(|w| w.token == token),
-                "reserve_write on already-reserved cell of {}",
-                self.regs[reg.index()].name
-            );
-            self.writers[c as usize] = Some(Writer { token, place, value: None });
+        let s = self.spans[reg.index()];
+        for k in s.start..s.start + s.len {
+            let c = self.arena[k as usize] as usize;
+            if let Some(old) = self.writers[c] {
+                debug_assert!(
+                    old.token == token,
+                    "reserve_write on already-reserved cell of {}",
+                    self.names[reg.index()]
+                );
+                self.unrecord(old.token.slot(), c);
+            }
+            self.writers[c] = Some(Writer { token, place, value: None });
+            self.record_mut(token.slot())[c / 64] |= 1u64 << (c % 64);
         }
     }
 
     /// Publishes the computed value of an in-flight write, making it
     /// available to forwarding reads ([`RegRef::read_fwd`]).
     pub fn publish(&mut self, reg: RegId, token: TokenId, value: u32) {
-        for &c in &self.regs[reg.index()].cells {
+        let s = self.spans[reg.index()];
+        for &c in &self.arena[s.start as usize..(s.start + s.len) as usize] {
             if let Some(w) = &mut self.writers[c as usize] {
                 if w.token == token {
                     w.value = Some(value);
@@ -206,12 +278,13 @@ impl RegisterFile {
     /// Commits `value` to the storage of `reg` and clears the reservation
     /// held by `token` (other tokens' reservations are left untouched).
     pub fn writeback(&mut self, reg: RegId, token: TokenId, value: u32) {
-        for &c in &self.regs[reg.index()].cells {
-            self.cells[c as usize] = value;
-            if let Some(w) = &self.writers[c as usize] {
-                if w.token == token {
-                    self.writers[c as usize] = None;
-                }
+        let s = self.spans[reg.index()];
+        for k in s.start..s.start + s.len {
+            let c = self.arena[k as usize] as usize;
+            self.cells[c] = value;
+            if self.writers[c].is_some_and(|w| w.token == token) {
+                self.writers[c] = None;
+                self.unrecord(token.slot(), c);
             }
         }
     }
@@ -252,26 +325,69 @@ impl RegisterFile {
         }
     }
 
-    /// Records that `token` has moved to `place`; updates every scoreboard
-    /// entry the token holds. Called by the engine on every token move.
-    pub fn note_move(&mut self, token: TokenId, place: PlaceId) {
-        for w in self.writers.iter_mut().flatten() {
-            if w.token == token {
-                w.place = place;
+    /// Calls `f` on the scoreboard entry of every cell `token` holds.
+    ///
+    /// Walks the set bits of the token slot's record and skips cells
+    /// held by another generation of the same slot, so it visits exactly
+    /// the cells whose writer is `token`. `f` returns whether the cell
+    /// stays held; a `false` clears the entry and its record bit.
+    #[inline]
+    fn for_each_held(&mut self, token: TokenId, mut f: impl FnMut(&mut Writer) -> bool) {
+        debug_assert!(self.record_covers(token), "token record misses a cell of {token}");
+        let base = token.slot() * self.words;
+        if base >= self.held.len() {
+            return;
+        }
+        for wi in 0..self.words {
+            let mut bits = self.held[base + wi];
+            while bits != 0 {
+                let c = wi * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let entry = &mut self.writers[c];
+                if let Some(w) = entry.as_mut().filter(|w| w.token == token) {
+                    if !f(w) {
+                        *entry = None;
+                        self.held[base + wi] &= !(1u64 << (c % 64));
+                    }
+                }
             }
         }
     }
 
+    /// Debug check of the record invariant for `token`: every cell whose
+    /// writer is `token` has its bit set in the slot's record.
+    fn record_covers(&self, token: TokenId) -> bool {
+        let base = token.slot() * self.words;
+        self.writers.iter().enumerate().all(|(c, w)| {
+            w.is_none_or(|w| w.token != token)
+                || self.held.get(base + c / 64).is_some_and(|word| (word >> (c % 64)) & 1 == 1)
+        })
+    }
+
+    /// Records that `token` has moved to `place`; updates every scoreboard
+    /// entry the token holds. Called by the engine on every token move.
+    ///
+    /// Visits only the cells in the token slot's record (see
+    /// [`RegisterFile`]), so a token holding no reservation costs one
+    /// empty-word test per 64 cells.
+    pub fn note_move(&mut self, token: TokenId, place: PlaceId) {
+        self.for_each_held(token, |w| {
+            w.place = place;
+            true
+        });
+    }
+
     /// Releases every reservation held by `token` (squash/flush path).
     /// Returns the number of cells released.
+    ///
+    /// Like [`RegisterFile::note_move`], visits only the cells in the
+    /// token slot's record, and clears their record bits.
     pub fn release(&mut self, token: TokenId) -> usize {
         let mut n = 0;
-        for w in self.writers.iter_mut() {
-            if w.is_some_and(|x| x.token == token) {
-                *w = None;
-                n += 1;
-            }
-        }
+        self.for_each_held(token, |_| {
+            n += 1;
+            false
+        });
         n
     }
 
@@ -280,14 +396,12 @@ impl RegisterFile {
         self.writers.iter().filter(|w| w.is_some()).count()
     }
 
-    /// Clears all reservations and zeroes all storage.
+    /// Clears all reservations (and the token-indexed record) and zeroes
+    /// all storage.
     pub fn reset(&mut self) {
-        for c in &mut self.cells {
-            *c = 0;
-        }
-        for w in &mut self.writers {
-            *w = None;
-        }
+        self.cells.fill(0);
+        self.writers.fill(None);
+        self.held.fill(0);
     }
 }
 

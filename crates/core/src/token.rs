@@ -264,29 +264,33 @@ impl<D> TokenPool<D> {
         let slot = &mut self.slots[id.slot()];
         assert_eq!(slot.gen, id.gen, "stale token id {id}");
         let tok = slot.token.take().expect("token already taken");
-        slot.gen = slot.gen.wrapping_add(1);
-        self.free.push(id.slot); // id.slot is the raw u32
-        self.live -= 1;
+        self.recycle(id);
         tok
     }
 
-    /// Reinserts a token previously removed with [`TokenPool::take`] under a
-    /// fresh id (the payload and bookkeeping fields are preserved; the seq
-    /// number is kept so program order survives re-insertion).
-    pub fn reinsert(&mut self, mut token: Token<D>) -> TokenId {
-        self.live += 1;
-        let slot = match self.free.pop() {
-            Some(s) => s,
-            None => {
-                self.slots.push(Slot { gen: 0, token: None });
-                (self.slots.len() - 1) as u32
-            }
-        };
-        let gen = self.slots[slot as usize].gen;
-        let id = TokenId { slot, gen };
-        token.id = id;
-        self.slots[slot as usize].token = Some(token);
-        id
+    /// Drops a token inside its pool slot and returns its sequence
+    /// number — [`TokenPool::take`] for callers that do not need the
+    /// owned token, without moving it out of the slot first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id does not refer to a live token.
+    pub fn discard(&mut self, id: TokenId) -> u64 {
+        let slot = &mut self.slots[id.slot()];
+        assert_eq!(slot.gen, id.gen, "stale token id {id}");
+        let seq = slot.token.as_ref().expect("token already taken").seq;
+        slot.token = None;
+        self.recycle(id);
+        seq
+    }
+
+    /// Returns the emptied slot of `id` to the free list, bumping its
+    /// generation so the id can no longer resolve.
+    fn recycle(&mut self, id: TokenId) {
+        let slot = &mut self.slots[id.slot()];
+        slot.gen = slot.gen.wrapping_add(1);
+        self.free.push(id.slot); // id.slot is the raw u32
+        self.live -= 1;
     }
 
     /// Iterates over all live tokens.
@@ -365,15 +369,16 @@ mod tests {
     }
 
     #[test]
-    fn reinsert_preserves_seq() {
+    fn discard_frees_the_slot_and_reports_seq() {
         let mut pool: TokenPool<u32> = TokenPool::new();
-        let a = pool.alloc(TokenKind::Instruction, Some(7), place(0), 0, 0);
-        let seq = pool.get(a).unwrap().seq();
-        let tok = pool.take(a);
-        let b = pool.reinsert(tok);
-        assert_ne!(a, b);
-        assert_eq!(pool.get(b).unwrap().seq(), seq);
-        assert_eq!(pool.get(b).unwrap().id(), b);
+        let _a = pool.alloc(TokenKind::Instruction, Some(7), place(0), 0, 0);
+        let b = pool.alloc(TokenKind::Instruction, Some(8), place(0), 0, 0);
+        assert_eq!(pool.discard(b), 1);
+        assert_eq!(pool.live(), 1);
+        assert!(pool.get(b).is_none(), "discarded id must not resolve");
+        let c = pool.alloc(TokenKind::Instruction, Some(9), place(0), 0, 0);
+        assert_eq!(c.slot(), b.slot(), "the discarded slot is recycled");
+        assert_ne!(c, b);
     }
 
     #[test]

@@ -4,7 +4,8 @@
 
 use proptest::prelude::*;
 use rcpn::ids::{PlaceId, TokenId};
-use rcpn::reg::{Operand, RegisterFile};
+use rcpn::reg::{Operand, RegisterFile, Writer};
+use rcpn::token::{TokenKind, TokenPool};
 
 fn tid(n: u32) -> TokenId {
     // TokenIds normally come from the engine pool; for scoreboard-only
@@ -49,6 +50,173 @@ proptest! {
             if k != pick {
                 prop_assert_eq!(rf.value_of(r), 0);
             }
+        }
+    }
+}
+
+/// The whole-file-scan scoreboard the token-indexed record replaced:
+/// every per-token operation walks every cell. The reference the
+/// `RegisterFile` must agree with step by step.
+struct NaiveFile {
+    cells: Vec<u32>,
+    writers: Vec<Option<Writer>>,
+    regs: Vec<Vec<usize>>,
+}
+
+impl NaiveFile {
+    fn writer_of(&self, r: usize) -> Option<Writer> {
+        self.regs[r].iter().find_map(|&c| self.writers[c])
+    }
+
+    fn reservable_by(&self, r: usize, token: TokenId) -> bool {
+        self.regs[r].iter().all(|&c| self.writers[c].is_none_or(|w| w.token == token))
+    }
+
+    fn reserve_write(&mut self, r: usize, token: TokenId, place: PlaceId) {
+        for &c in &self.regs[r] {
+            self.writers[c] = Some(Writer { token, place, value: None });
+        }
+    }
+
+    fn publish(&mut self, r: usize, token: TokenId, value: u32) {
+        for &c in &self.regs[r] {
+            if let Some(w) = self.writers[c].as_mut().filter(|w| w.token == token) {
+                w.value = Some(value);
+            }
+        }
+    }
+
+    fn writeback(&mut self, r: usize, token: TokenId, value: u32) {
+        for &c in &self.regs[r] {
+            self.cells[c] = value;
+            if self.writers[c].is_some_and(|w| w.token == token) {
+                self.writers[c] = None;
+            }
+        }
+    }
+
+    fn note_move(&mut self, token: TokenId, place: PlaceId) {
+        for w in self.writers.iter_mut().flatten().filter(|w| w.token == token) {
+            w.place = place;
+        }
+    }
+
+    fn release(&mut self, token: TokenId) -> usize {
+        let held = self.writers.iter_mut().filter(|w| w.is_some_and(|w| w.token == token));
+        held.map(|w| *w = None).count()
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The token-indexed scoreboard agrees with a whole-file scan after
+    /// every step of a random sequence of reservations, publications,
+    /// writebacks, moves and releases — on files narrower and wider than
+    /// one 64-cell record word, with overlapping registers, and with
+    /// token slots recycled at a new generation (tokens may retire
+    /// without releasing, leaving stale reservations in a reused slot),
+    /// and registers declared while reservations are outstanding (which
+    /// re-strides the record when the file crosses a 64-cell boundary).
+    #[test]
+    fn token_indexed_scoreboard_matches_full_scan(
+        n_cells in 1usize..140,
+        overlaps in proptest::collection::vec((any::<usize>(), any::<usize>()), 0..6),
+        ops in proptest::collection::vec((0u8..8, any::<usize>(), any::<usize>(), any::<u32>()), 1..120),
+    ) {
+        let mut rf = RegisterFile::new();
+        let mut regs = rf.add_bank("r", n_cells);
+        let mut naive = NaiveFile {
+            cells: vec![0; n_cells],
+            writers: vec![None; n_cells],
+            regs: (0..n_cells).map(|c| vec![c]).collect(),
+        };
+        for (k, (a, b)) in overlaps.into_iter().enumerate() {
+            // Cover any earlier register, overlapping ones included.
+            let over = [a % regs.len(), b % regs.len()];
+            regs.push(rf.add_overlapping(&format!("o{k}"), &[regs[over[0]], regs[over[1]]]));
+            let mut cells = naive.regs[over[0]].clone();
+            for &c in &naive.regs[over[1]] {
+                if !cells.contains(&c) {
+                    cells.push(c);
+                }
+            }
+            naive.regs.push(cells);
+        }
+
+        let mut pool = TokenPool::<u32>::new();
+        let mut live: Vec<TokenId> = Vec::new();
+        let mut retired: Vec<TokenId> = Vec::new();
+        for (step, (op, a, b, v)) in ops.into_iter().enumerate() {
+            let r = b % regs.len();
+            let place = PlaceId::from_index(v as usize % 70);
+            // Any token ever allocated, retired ones included.
+            let any_tok = (!live.is_empty() || !retired.is_empty()).then(|| {
+                let k = a % (live.len() + retired.len());
+                if k < live.len() { live[k] } else { retired[k - live.len()] }
+            });
+            match op {
+                0 if live.len() < 6 => {
+                    live.push(pool.alloc(TokenKind::Instruction, Some(0), place, 0, 0));
+                }
+                1 if !live.is_empty() => {
+                    let t = live.swap_remove(a % live.len());
+                    if b % 2 == 0 {
+                        prop_assert_eq!(rf.release(t), naive.release(t), "step {}: release", step);
+                    }
+                    pool.discard(t);
+                    retired.push(t);
+                }
+                2 if !live.is_empty() => {
+                    let t = live[a % live.len()];
+                    if naive.reservable_by(r, t) {
+                        rf.reserve_write(regs[r], t, place);
+                        naive.reserve_write(r, t, place);
+                    }
+                }
+                3 => if let Some(t) = any_tok {
+                    rf.publish(regs[r], t, v);
+                    naive.publish(r, t, v);
+                },
+                4 => if let Some(t) = any_tok {
+                    rf.writeback(regs[r], t, v);
+                    naive.writeback(r, t, v);
+                },
+                5 => if let Some(t) = any_tok {
+                    rf.note_move(t, place);
+                    naive.note_move(t, place);
+                },
+                6 => if let Some(t) = any_tok {
+                    prop_assert_eq!(rf.release(t), naive.release(t), "step {}: release", step);
+                },
+                7 => {
+                    regs.push(rf.add_register(&format!("n{step}")));
+                    naive.regs.push(vec![naive.cells.len()]);
+                    naive.cells.push(0);
+                    naive.writers.push(None);
+                }
+                _ => {}
+            }
+
+            let vmask = u64::from(v) | (u64::from(v) << 32);
+            for (k, &reg) in regs.iter().enumerate() {
+                let w = naive.writer_of(k);
+                prop_assert_eq!(rf.writer_of(reg).copied(), w, "step {}: writer_of r{}", step, k);
+                prop_assert_eq!(rf.readable(reg), w.is_none(), "step {}: readable r{}", step, k);
+                prop_assert_eq!(rf.forwarded(reg), w.and_then(|w| w.value), "step {}: fwd r{}", step, k);
+                prop_assert_eq!(rf.value_of(reg), naive.cells[naive.regs[k][0]], "step {}: value r{}", step, k);
+                for mask in [0, u64::MAX, vmask, 1u64 << (v % 64)] {
+                    let expect = w.is_some_and(|w| {
+                        w.value.is_some() && w.place.index() < 64 && (mask >> w.place.index()) & 1 == 1
+                    });
+                    prop_assert_eq!(
+                        rf.can_read_masked(reg, mask), expect,
+                        "step {}: can_read_masked r{} mask {:#x}", step, k, mask
+                    );
+                }
+            }
+            let reserved = naive.writers.iter().filter(|w| w.is_some()).count();
+            prop_assert_eq!(rf.reserved_cells(), reserved, "step {}: reserved cells", step);
         }
     }
 }
