@@ -1,28 +1,27 @@
 //! Batched sweep over the full {kernel × table-mode × engine-config}
-//! matrix, serial vs parallel, with a determinism check.
+//! matrix, serial vs parallel: a correctness check, not a timing.
 //!
 //! ```text
 //! cargo run --bin sweep                    # test-size matrix, host threads
 //! cargo run --bin sweep -- --scale 0.2     # larger workloads (scale in [0, 1])
 //! cargo run --bin sweep -- --workers 4     # explicit worker count
-//! cargo run --bin sweep -- --out BENCH_sweep.json
 //! ```
 //!
 //! Every engine variant is compiled once; the batch runners instantiate
-//! engines from the shared artifacts. The binary always runs the matrix
-//! twice — once on one worker, once on N — asserts the two runs are
-//! bit-identical, and records the wall-clock comparison in the JSON file.
+//! engines from the shared artifacts. The binary runs the matrix twice —
+//! once on one worker, once on N — asserts the two runs are bit-identical
+//! and that every engine variant of a model simulates each workload
+//! identically, then prints the cycles table. Any divergence panics.
 
 use rcpn::batch::BatchRunner;
-use rcpn_bench::sweep::{render_json, Sweep};
+use rcpn_bench::sweep::Sweep;
 use workloads::Kernel;
 
 fn main() {
     let mut scale = 0.0f64;
-    // Floor of 2 so the recorded run exercises the thread pool even on a
-    // single-CPU host (the speedup column then honestly reports ~1x).
+    // Floor of 2 so the parallel run exercises the thread pool even on a
+    // single-CPU host.
     let mut workers = BatchRunner::host_parallel().workers().max(2);
-    let mut out = Some("BENCH_sweep.json".to_string());
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -40,28 +39,19 @@ fn main() {
             "--workers" => {
                 workers = it.next().and_then(|s| s.parse().ok()).expect("--workers needs a count");
             }
-            "--out" => {
-                out = Some(it.next().expect("--out needs a path").clone());
-            }
-            "--no-out" => out = None,
             other => {
-                eprintln!(
-                    "unknown argument {other:?}; try --scale N | --workers N | --out PATH | \
-                     --no-out"
-                );
+                eprintln!("unknown argument {other:?}; try --scale N | --workers N");
                 std::process::exit(2);
             }
         }
     }
 
-    let t0 = std::time::Instant::now();
     let sweep = Sweep::new(scale);
     println!(
-        "matrix: {} engine variants x {} workloads = {} jobs (compiled in {:.2}s)",
+        "matrix: {} engine variants x {} workloads = {} jobs",
         sweep.variants.len(),
         sweep.workloads.len(),
         sweep.len(),
-        t0.elapsed().as_secs_f64(),
     );
 
     let serial = sweep.run(&BatchRunner::new(1));
@@ -90,16 +80,4 @@ fn main() {
         parallel.total_cycles(),
         parallel.workers,
     );
-    println!(
-        "serial {:.3}s  parallel {:.3}s ({} workers)  speedup {:.2}x",
-        serial.wall_seconds,
-        parallel.wall_seconds,
-        parallel.workers,
-        serial.wall_seconds / parallel.wall_seconds,
-    );
-
-    if let Some(path) = out {
-        std::fs::write(&path, render_json(&serial, &parallel)).expect("write sweep record");
-        println!("recorded {path}");
-    }
 }

@@ -13,9 +13,9 @@
 //! model-size comparison and the Section 5 model-effort summary — plus
 //! the [`sweep`] module, which batches the full
 //! {kernel × table-mode × engine-config} job matrix across worker threads
-//! on the compiled-model seam and records `BENCH_sweep.json`.
+//! on the compiled-model seam and checks that every engine variant
+//! simulates identically, serially and in parallel.
 
-pub mod record;
 pub mod sweep;
 
 use std::time::Instant;

@@ -11,10 +11,8 @@
 //! Determinism is the load-bearing property: a [`SweepRun`]'s per-job
 //! statistics and its merged aggregate are bit-identical between a serial
 //! run and a parallel run at any worker count. `cargo run --bin sweep`
-//! drives this module, checks that invariant end to end, and records the
-//! measured serial-vs-parallel wall clock in `BENCH_sweep.json`.
-
-use std::time::Instant;
+//! drives this module and checks that invariant end to end. It measures
+//! no time: speed claims come from the paired `rcpnbench` harness.
 
 use processors::res::SimConfig;
 use processors::sim::{CompiledSim, ProcModel};
@@ -76,7 +74,7 @@ impl EngineVariant {
 /// The default engine axis: every registered processor model
 /// ([`ProcModel::ALL`]) × every candidate-table mode, the
 /// exhaustive-sweep scheduler oracle on every model (so every sweep
-/// records both the activity-driven engine and its oracle), plus the
+/// runs both the activity-driven engine and its oracle), plus the
 /// two-list-everywhere evaluation scheme on StrongARM.
 pub fn engine_axis() -> Vec<EngineVariant> {
     let modes = [
@@ -162,27 +160,6 @@ impl Sweep {
         Sweep { variants, artifacts, workloads, jobs }
     }
 
-    /// Assembles a sweep over *already compiled* artifacts — no
-    /// compilation. This is the constructor the `rcpn-serve` job server
-    /// uses to record a sweep from the models it warmed at bind time: the
-    /// variants supply the row labels, the index-aligned artifacts supply
-    /// the engines.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `variants` and `artifacts` are not the same length —
-    /// the two axes must be index-aligned.
-    pub fn over_artifacts(
-        variants: Vec<EngineVariant>,
-        artifacts: Vec<CompiledSim>,
-        workloads: Vec<Workload>,
-    ) -> Sweep {
-        assert_eq!(variants.len(), artifacts.len(), "variants and artifacts must be index-aligned");
-        let jobs =
-            (0..variants.len()).flat_map(|v| (0..workloads.len()).map(move |w| (v, w))).collect();
-        Sweep { variants, artifacts, workloads, jobs }
-    }
-
     /// Number of jobs in the matrix.
     pub fn len(&self) -> usize {
         self.jobs.len()
@@ -201,13 +178,10 @@ impl Sweep {
     /// Panics if any simulation fails to exit with its gold checksum — a
     /// mis-simulating configuration must never be reported.
     pub fn run(&self, runner: &BatchRunner) -> SweepRun {
-        let t0 = Instant::now();
         let rows = runner.run(&self.jobs, |_idx, &(v, w)| {
             let workload = &self.workloads[w];
             let mut sim = self.artifacts[v].instantiate(&workload.program);
-            let job_t0 = Instant::now();
             let r = sim.run(MAX_CYCLES);
-            let seconds = job_t0.elapsed().as_secs_f64();
             assert_eq!(
                 r.exit,
                 Some(workload.expected),
@@ -221,14 +195,12 @@ impl Sweep {
                 size: workload.size,
                 cycles: r.cycles,
                 instrs: r.instrs,
-                seconds,
                 stats: sim.engine.stats().clone(),
                 sched: sim.sched().clone(),
             }
         });
-        let wall_seconds = t0.elapsed().as_secs_f64();
         let merged = merge_stats(rows.iter().map(|r| &r.stats));
-        SweepRun { rows, merged, wall_seconds, workers: runner.workers() }
+        SweepRun { rows, merged, workers: runner.workers() }
     }
 }
 
@@ -239,7 +211,7 @@ impl Sweep {
     /// `sched:exhaustive` oracle rows must be bit-identical in their full
     /// [`Stats`] block to their activity-driven default siblings
     /// (`tables:per-place-class`). The sweep binary runs this on the full
-    /// matrix before recording results.
+    /// matrix before printing its table.
     pub fn assert_cross_engine_identity(&self, run: &SweepRun) {
         let nw = self.workloads.len();
         let row = |v: usize, w: usize| &run.rows[v * nw + w];
@@ -280,7 +252,7 @@ impl Sweep {
 }
 
 /// One completed job of a sweep.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepRow {
     /// Engine-variant label of the job.
     pub variant: String,
@@ -292,9 +264,6 @@ pub struct SweepRow {
     pub cycles: u64,
     /// Committed instructions.
     pub instrs: u64,
-    /// Host seconds of this job alone (noisy under parallel execution; use
-    /// [`SweepRun::wall_seconds`] for throughput comparisons).
-    pub seconds: f64,
     /// The engine's full statistics block.
     pub stats: Stats,
     /// The engine's scheduler counters (evaluated vs skipped work;
@@ -302,16 +271,14 @@ pub struct SweepRow {
     pub sched: SchedStats,
 }
 
-/// The result of running a [`Sweep`]: rows in job order, the merged
-/// aggregate, and the wall clock of the whole batch.
+/// The result of running a [`Sweep`]: rows in job order and the merged
+/// aggregate.
 #[derive(Debug, Clone)]
 pub struct SweepRun {
     /// Per-job results, in job order (independent of worker scheduling).
     pub rows: Vec<SweepRow>,
     /// All row stats merged in job order.
     pub merged: Stats,
-    /// Wall-clock seconds for the whole batch.
-    pub wall_seconds: f64,
     /// Worker count the batch ran with.
     pub workers: usize,
 }
@@ -319,85 +286,15 @@ pub struct SweepRun {
 impl SweepRun {
     /// True when `self` and `other` simulated the exact same thing:
     /// per-job cycles, instruction counts and full statistics blocks are
-    /// bit-identical, and so are the merged aggregates. Wall-clock fields
-    /// are ignored — that is where the two runs are *supposed* to differ.
+    /// bit-identical, and so are the merged aggregates.
     pub fn simulation_identical(&self, other: &SweepRun) -> bool {
-        self.rows.len() == other.rows.len()
-            && self.merged == other.merged
-            && self.rows.iter().zip(&other.rows).all(|(a, b)| {
-                a.variant == b.variant
-                    && a.kernel == b.kernel
-                    && a.size == b.size
-                    && a.cycles == b.cycles
-                    && a.instrs == b.instrs
-                    && a.stats == b.stats
-                    && a.sched == b.sched
-            })
+        self.rows == other.rows && self.merged == other.merged
     }
 
     /// Total simulated cycles across the batch.
     pub fn total_cycles(&self) -> u64 {
         self.merged.cycles
     }
-}
-
-/// Renders the sweep record as JSON lines (the `BENCH_*.json` house
-/// format): one `"sweep"` row per job, then one `"sweep-summary"` row
-/// with the serial-vs-parallel wall-clock measurement.
-///
-/// Per-job rows (and their `job_seconds`/`mcps` timing) come from the
-/// **serial** run: under parallel execution the workers time-share cores,
-/// so parallel per-job clocks would understate real single-run speed.
-/// The two runs' simulation results are asserted identical elsewhere; the
-/// parallel run contributes only its wall clock and worker count.
-pub fn render_json(serial: &SweepRun, parallel: &SweepRun) -> String {
-    let mut out = String::new();
-    for row in &serial.rows {
-        let mcps = row.cycles as f64 / row.seconds / 1.0e6;
-        let cpi = row.cycles as f64 / row.instrs as f64;
-        out.push_str(&format!(
-            "{{\"group\":\"sweep\",\"bench\":\"{}/{}\",\"size\":{},\"cycles\":{},\
-             \"instrs\":{},\"cpi\":{:.4},\"job_seconds\":{:.6},\"mcps\":{:.3},\
-             \"place_visits\":{},\"place_skips\":{},\"trans_visits\":{},\
-             \"trans_visits_skipped\":{},\"guard_ir_evals\":{},\"guard_hook_evals\":{},\
-             \"actions_fused\":{},\"superblocks_entered\":{},\"ops_inlined\":{},\
-             \"chains_entered\":{},\"chain_links_fired\":{}}}\n",
-            row.variant,
-            row.kernel,
-            row.size,
-            row.cycles,
-            row.instrs,
-            cpi,
-            row.seconds,
-            mcps,
-            row.sched.place_visits,
-            row.sched.place_skips,
-            row.sched.trans_visits,
-            row.sched.trans_visits_skipped,
-            row.sched.guard_ir_evals,
-            row.sched.guard_hook_evals,
-            row.sched.actions_fused,
-            row.sched.superblocks_entered,
-            row.sched.ops_inlined,
-            row.sched.chains_entered,
-            row.sched.chain_links_fired,
-        ));
-    }
-    let speedup = serial.wall_seconds / parallel.wall_seconds;
-    out.push_str(&format!(
-        "{{\"group\":\"sweep-summary\",\"jobs\":{},\"workers\":{},\"total_cycles\":{},\
-         \"total_retired\":{},\"serial_seconds\":{:.6},\"parallel_seconds\":{:.6},\
-         \"speedup\":{:.3},\"identical\":{}}}\n",
-        parallel.rows.len(),
-        parallel.workers,
-        parallel.total_cycles(),
-        parallel.merged.retired,
-        serial.wall_seconds,
-        parallel.wall_seconds,
-        speedup,
-        serial.simulation_identical(parallel),
-    ));
-    out
 }
 
 #[cfg(test)]
@@ -550,16 +447,5 @@ mod tests {
         assert!(off.sched.superblocks_entered > 0, "chains-off keeps superblock dispatch");
         assert_eq!(off.sched.chains_entered, 0, "chains-off row must not form chains");
         assert_eq!(off.sched.chain_links_fired, 0);
-    }
-
-    #[test]
-    fn json_record_has_one_line_per_job_plus_summary() {
-        let s = tiny_sweep();
-        let run = s.run(&BatchRunner::new(2));
-        let serial = s.run(&BatchRunner::new(1));
-        let json = render_json(&serial, &run);
-        assert_eq!(json.lines().count(), s.len() + 1);
-        assert!(json.contains("\"group\":\"sweep-summary\""));
-        assert!(json.contains("\"identical\":true"));
     }
 }

@@ -63,9 +63,9 @@
 //! The paper's optimizations are implemented and individually
 //! switchable through [`EngineConfig`] so their contribution can be
 //! measured: every variant is a point on the engine axis of the batch
-//! sweep (`rcpn_bench::sweep::engine_axis`, timed per model and kernel
-//! into `BENCH_sweep.json`), and `rcpnbench` measures the default
-//! configuration against SimpleScalar-Arm:
+//! sweep (`rcpn_bench::sweep::engine_axis`, checked cycle-identical to
+//! the default per model and kernel), and `rcpnbench` measures the
+//! default configuration against SimpleScalar-Arm:
 //!
 //! * [`TableMode::PerPlaceClass`] — the `sorted_transitions[p, IType]`
 //!   table; alternatives re-introduce the search cost the paper eliminates.

@@ -11,10 +11,6 @@
 //!     in-process run of the same compiled model (bit-identical Stats
 //!     and SchedStats, the service determinism guarantee).
 //!
-//! rcpn-client sweep ADDR [--scale S] [--out FILE]
-//!     Ask the server to record a sweep over its warmed models; write
-//!     the JSON-lines record to FILE (or stdout).
-//!
 //! rcpn-client shutdown ADDR
 //!     Ask the server to shut down cleanly.
 //! ```
@@ -26,7 +22,7 @@ use processors::sim::{CompiledSim, ProcModel};
 use rcpn::batch::BatchRunner;
 use rcpn_bench::MAX_CYCLES;
 use rcpn_serve::client::{Admission, Client};
-use workloads::{Kernel, Workload};
+use workloads::Workload;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -39,7 +35,6 @@ fn main() -> ExitCode {
     let run = match cmd.as_str() {
         "ping" => ping(addr, flags),
         "drive" => drive(addr, flags),
-        "sweep" => sweep(addr, flags),
         "shutdown" => shutdown(addr, flags),
         _ => return usage(),
     };
@@ -56,7 +51,6 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: rcpn-client ping ADDR [--retry N]\n\
          \x20      rcpn-client drive ADDR [--check]\n\
-         \x20      rcpn-client sweep ADDR [--scale S] [--out FILE]\n\
          \x20      rcpn-client shutdown ADDR"
     );
     ExitCode::from(2)
@@ -183,36 +177,6 @@ fn drive(addr: &str, flags: &[String]) -> Result<ExitCode, Box<dyn std::error::E
         eprintln!("drive: {failures} job(s) failed");
         Ok(ExitCode::FAILURE)
     }
-}
-
-fn sweep(addr: &str, flags: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
-    let mut scale = 0.0f64;
-    let mut out = None;
-    let mut it = flags.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--scale" => {
-                let value: f64 = it
-                    .next()
-                    .ok_or("--scale needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--scale: {e}"))?;
-                scale = Kernel::check_scale(value)?;
-            }
-            "--out" => out = Some(it.next().ok_or("--out needs a value")?.clone()),
-            other => return Err(format!("unknown flag {other:?}").into()),
-        }
-    }
-    let mut client = Client::connect(addr)?;
-    let record = client.run_sweep(scale)?;
-    match out {
-        Some(path) => {
-            std::fs::write(&path, &record)?;
-            eprintln!("rcpn-client: sweep record written to {path}");
-        }
-        None => print!("{record}"),
-    }
-    Ok(ExitCode::SUCCESS)
 }
 
 fn shutdown(addr: &str, flags: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {

@@ -177,22 +177,6 @@ impl Client {
         }
     }
 
-    /// Asks the server to run its warmed models over the kernel suite at
-    /// `scale` and return the sweep record (the `BENCH_sweep.json` house
-    /// format) — the input `rcpn-serve sweep-diff --live` feeds to the
-    /// differ. Blocks until the sweep completes.
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError::Wire`] on transport failure.
-    pub fn run_sweep(&mut self, scale: f64) -> Result<String, ClientError> {
-        write_request(&mut self.stream, &Request::RunSweep { scale })?;
-        match self.next_reply_matching(|r| matches!(r, Reply::SweepRecord { .. }))? {
-            Reply::SweepRecord { json } => Ok(json),
-            other => Err(unexpected(&other)),
-        }
-    }
-
     /// Asks the server to shut down cleanly. Returns once the server has
     /// acknowledged.
     ///

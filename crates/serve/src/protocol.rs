@@ -17,10 +17,9 @@
 //! normative field tables.
 //!
 //! Primitive encodings, all little-endian: `u8`/`u32`/`u64` as raw bytes,
-//! `f64` as its IEEE-754 bit pattern in a `u64`, `bool` as one byte
-//! (`0`/`1`), strings as `u32` byte count + UTF-8 bytes, and `u32`/`u64`
-//! sequences as `u32` element count + elements. `Option<T>` is one
-//! presence byte followed by `T` when present.
+//! `bool` as one byte (`0`/`1`), strings as `u32` byte count + UTF-8
+//! bytes, and `u32`/`u64` sequences as `u32` element count + elements.
+//! `Option<T>` is one presence byte followed by `T` when present.
 //!
 //! Every decode failure is a typed [`WireError`], never a panic: the
 //! server answers malformed input with a [`Reply::ProtoError`] frame and
@@ -101,18 +100,6 @@ pub enum Request {
     /// [`Reply::Busy`], later followed by [`Reply::JobDone`] /
     /// [`Reply::JobFailed`] when accepted.
     Submit(JobSpec),
-    /// Run the server's warmed models over the six-kernel workload suite
-    /// at `scale` and stream back the sweep record
-    /// ([`Reply::SweepRecord`]) in the `BENCH_sweep.json` house format.
-    RunSweep {
-        /// Workload size scale in `[0.0, 1.0]` (see
-        /// `workloads::Kernel::scaled_size`; `0.0` floors at the test
-        /// sizes, `1.0` is the bench size). Anything else — negative,
-        /// above 1.0, NaN or infinite — fails
-        /// `workloads::Kernel::check_scale` and is rejected at decode as
-        /// [`WireError::Corrupt`].
-        scale: f64,
-    },
     /// Ask the server to stop accepting work and exit its accept loop;
     /// reply is [`Reply::ShuttingDown`].
     Shutdown,
@@ -173,13 +160,6 @@ pub enum Reply {
         job_id: u64,
         /// Human-readable reason.
         error: String,
-    },
-    /// Answer to [`Request::RunSweep`]: the freshly recorded sweep in the
-    /// `BENCH_sweep.json` house format (parse with
-    /// `rcpn_bench::record::SweepRecord`).
-    SweepRecord {
-        /// JSON-lines text of the record.
-        json: String,
     },
     /// Answer to [`Request::Shutdown`]: the server stops accepting
     /// connections and exits once in-flight work drains.
@@ -283,9 +263,6 @@ impl Enc {
     fn u64(&mut self, v: u64) {
         self.0.extend_from_slice(&v.to_le_bytes());
     }
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
     fn str(&mut self, s: &str) {
         self.u32(s.len() as u32);
         self.0.extend_from_slice(s.as_bytes());
@@ -357,10 +334,6 @@ impl<'a> Dec<'a> {
 
     fn u64(&mut self, context: &'static str) -> Result<u64, WireError> {
         Ok(u64::from_le_bytes(self.take(8, context)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self, context: &'static str) -> Result<f64, WireError> {
-        Ok(f64::from_bits(self.u64(context)?))
     }
 
     fn str(&mut self, context: &'static str) -> Result<String, WireError> {
@@ -561,7 +534,6 @@ fn take_result(d: &mut Dec<'_>) -> Result<SimResult, WireError> {
 
 const TAG_HELLO: u8 = 0x01;
 const TAG_SUBMIT: u8 = 0x02;
-const TAG_RUN_SWEEP: u8 = 0x03;
 const TAG_SHUTDOWN: u8 = 0x04;
 
 const TAG_SERVER_INFO: u8 = 0x81;
@@ -569,7 +541,6 @@ const TAG_ACCEPTED: u8 = 0x82;
 const TAG_BUSY: u8 = 0x83;
 const TAG_JOB_DONE: u8 = 0x84;
 const TAG_JOB_FAILED: u8 = 0x85;
-const TAG_SWEEP_RECORD: u8 = 0x86;
 const TAG_SHUTTING_DOWN: u8 = 0x87;
 const TAG_PROTO_ERROR: u8 = 0x88;
 
@@ -593,11 +564,6 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             e.u32(job.base);
             e.u32(job.entry);
             e.words(&job.words);
-            e.0
-        }
-        Request::RunSweep { scale } => {
-            let mut e = payload(TAG_RUN_SWEEP);
-            e.f64(*scale);
             e.0
         }
         Request::Shutdown => payload(TAG_SHUTDOWN).0,
@@ -642,11 +608,6 @@ pub fn encode_reply(reply: &Reply) -> Vec<u8> {
             e.str(error);
             e.0
         }
-        Reply::SweepRecord { json } => {
-            let mut e = payload(TAG_SWEEP_RECORD);
-            e.str(json);
-            e.0
-        }
         Reply::ShuttingDown => payload(TAG_SHUTTING_DOWN).0,
         Reply::ProtoError { message } => {
             let mut e = payload(TAG_PROTO_ERROR);
@@ -686,11 +647,6 @@ pub fn decode_request(bytes: &[u8]) -> Result<Request, WireError> {
                 entry: d.u32(C)?,
                 words: d.words(C)?,
             })
-        }
-        TAG_RUN_SWEEP => {
-            let scale = workloads::Kernel::check_scale(d.f64("RunSweep")?)
-                .map_err(|e| WireError::Corrupt { detail: format!("RunSweep {e}") })?;
-            Request::RunSweep { scale }
         }
         TAG_SHUTDOWN => Request::Shutdown,
         tag => return Err(WireError::UnknownTag { tag }),
@@ -733,7 +689,6 @@ pub fn decode_reply(bytes: &[u8]) -> Result<Reply, WireError> {
             const C: &str = "JobFailed";
             Reply::JobFailed { job_id: d.u64(C)?, error: d.str(C)? }
         }
-        TAG_SWEEP_RECORD => Reply::SweepRecord { json: d.str("SweepRecord")? },
         TAG_SHUTTING_DOWN => Reply::ShuttingDown,
         TAG_PROTO_ERROR => Reply::ProtoError { message: d.str("ProtoError")? },
         tag => return Err(WireError::UnknownTag { tag }),
@@ -862,7 +817,6 @@ mod tests {
                 entry: 0,
                 words: vec![0xE3A0_0006, 0xEF00_0000],
             }),
-            Request::RunSweep { scale: 0.25 },
             Request::Shutdown,
         ];
         for req in reqs {
@@ -882,7 +836,6 @@ mod tests {
             Reply::Busy { job_id: 2 },
             Reply::JobDone { job_id: 3, outcome: Box::new(sample_outcome()) },
             Reply::JobFailed { job_id: 4, error: "unknown model \"pentium\"".into() },
-            Reply::SweepRecord { json: "{\"group\":\"sweep\"}\n".into() },
             Reply::ShuttingDown,
             Reply::ProtoError { message: "unknown message tag 0x77".into() },
         ];
@@ -932,21 +885,6 @@ mod tests {
             assert!(
                 matches!(err, WireError::Truncated { .. }),
                 "prefix of {cut} bytes gave {err:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn sweep_scale_is_validated_at_decode() {
-        for scale in [0.0, 0.5, 1.0] {
-            let req = Request::RunSweep { scale };
-            assert_eq!(decode_request(&encode_request(&req)).unwrap(), req);
-        }
-        for scale in [f64::NAN, f64::INFINITY, -1.0, 1e300, 1.0 + f64::EPSILON] {
-            let bytes = encode_request(&Request::RunSweep { scale });
-            assert!(
-                matches!(decode_request(&bytes), Err(WireError::Corrupt { .. })),
-                "scale {scale} must be rejected"
             );
         }
     }

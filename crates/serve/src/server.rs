@@ -30,9 +30,6 @@ use std::sync::Mutex;
 use arm_isa::program::Program;
 use processors::sim::{CompiledSim, ProcModel};
 use rcpn::batch::BatchRunner;
-use rcpn::engine::EngineConfig;
-use rcpn_bench::sweep::{render_json, EngineVariant, Sweep};
-use workloads::Workload;
 
 use crate::protocol::{read_request, write_reply, JobOutcome, JobSpec, Reply, Request, WireError};
 
@@ -240,12 +237,6 @@ impl Server {
                         return;
                     }
                 }
-                Ok(Request::RunSweep { scale }) => {
-                    let json = self.run_sweep(scale);
-                    if write_locked(&out, &Reply::SweepRecord { json }).is_err() {
-                        return;
-                    }
-                }
                 Ok(Request::Shutdown) => {
                     let _ = write_locked(&out, &Reply::ShuttingDown);
                     self.shutdown.store(true, Ordering::SeqCst);
@@ -303,25 +294,6 @@ impl Server {
             Err(TrySendError::Disconnected(_)) => Reply::ShuttingDown,
         };
         write_reply(&mut *w, &reply).is_ok()
-    }
-
-    /// Runs the warmed models over the six-kernel suite at `scale`
-    /// (serially, on the calling connection's thread — an admin
-    /// operation, deliberately kept off the job workers) and renders the
-    /// record in the `BENCH_sweep.json` house format. Rows carry the
-    /// default engine-variant labels (`"<model>/tables:per-place-class"`),
-    /// so a served record diffs directly against a committed sweep.
-    fn run_sweep(&self, scale: f64) -> String {
-        let variants: Vec<EngineVariant> = self
-            .warmed
-            .iter()
-            .map(|sim| {
-                EngineVariant::new(sim.model(), "tables:per-place-class", EngineConfig::default())
-            })
-            .collect();
-        let sweep = Sweep::over_artifacts(variants, self.warmed.clone(), Workload::suite(scale));
-        let run = sweep.run(&BatchRunner::new(1));
-        render_json(&run, &run)
     }
 }
 

@@ -8,7 +8,6 @@
 
 use processors::sim::{CompiledSim, ProcModel};
 use rcpn::batch::BatchRunner;
-use rcpn_bench::record::SweepRecord;
 use rcpn_serve::client::{Admission, Client};
 use rcpn_serve::server::{ServeConfig, Server};
 use workloads::Workload;
@@ -109,28 +108,6 @@ fn unknown_model_fails_the_job_not_the_connection() {
     assert_eq!(admission, Admission::Accepted);
     let outcome = client.collect(job_id).expect("collect");
     assert_eq!(outcome.result.exit, Some(workload.expected));
-
-    client.shutdown().expect("shutdown acknowledged");
-    handle.join().expect("server joins");
-}
-
-#[test]
-fn live_sweep_record_parses_and_is_internally_consistent() {
-    let (addr, handle) = spawn_server(ServeConfig { workers: 1, ..ServeConfig::default() });
-    let mut client = Client::connect(addr).expect("client connects");
-
-    let json = client.run_sweep(0.0).expect("server records a sweep");
-    let record = SweepRecord::parse(&json).expect("house format parses");
-    let expected_rows = ProcModel::ALL.len() * Workload::suite(0.0).len();
-    assert_eq!(record.rows.len(), expected_rows, "models × kernels rows");
-    assert_eq!(record.summary.jobs as usize, expected_rows);
-    assert!(record.summary.identical, "a single run is identical to itself");
-    // Rows carry the default-variant labels, so a served record diffs
-    // directly against a committed sweep baseline.
-    assert!(
-        record.rows.iter().all(|r| r.variant.ends_with("/tables:per-place-class")),
-        "default variant labels"
-    );
 
     client.shutdown().expect("shutdown acknowledged");
     handle.join().expect("server joins");

@@ -2,7 +2,9 @@
 //! must produce its gold checksum on the functional ISS, every registered
 //! RCPN cycle-accurate simulator ([`ProcModel::ALL`]), and the
 //! SimpleScalar-style baseline. Cycle counts must also be architecturally
-//! sane (CPI within the band of a scalar in-order pipeline).
+//! sane (CPI within the band of a scalar in-order pipeline), and each
+//! RCPN model's counts are pinned: a changed count is a timing-model
+//! change and must be made on purpose.
 
 use arm_isa::iss::Iss;
 use baseline_sim::SsArm;
@@ -11,9 +13,41 @@ use workloads::{Kernel, Workload};
 
 const MAX_CYCLES: u64 = 200_000_000;
 
+/// `(cycles, instrs)` of each RCPN model at `kernel.test_size()` under its
+/// default configuration, indexed `[ProcModel::ALL][Kernel::ALL]`.
+const PINNED: [[(u64, u64); 6]; 3] = [
+    // strongarm: adpcm, blowfish, compress, crc, g721, go
+    [
+        (20612, 13208),
+        (25514, 12188),
+        (159973, 114623),
+        (9792, 5556),
+        (31421, 17710),
+        (51061, 25262),
+    ],
+    // xscale
+    [
+        (20494, 13208),
+        (25783, 12188),
+        (149975, 114623),
+        (9100, 5556),
+        (32106, 17710),
+        (50284, 25262),
+    ],
+    // superarm
+    [
+        (24331, 13208),
+        (31506, 12188),
+        (179285, 114623),
+        (12490, 5556),
+        (37286, 17710),
+        (63861, 25262),
+    ],
+];
+
 #[test]
 fn all_kernels_agree_on_all_simulators() {
-    for kernel in Kernel::ALL {
+    for (k, kernel) in Kernel::ALL.into_iter().enumerate() {
         let w = Workload::build(kernel, kernel.test_size());
 
         let mut iss = Iss::from_program(&w.program);
@@ -21,13 +55,14 @@ fn all_kernels_agree_on_all_simulators() {
         assert!(iss.halted(), "{kernel}: ISS did not exit");
         assert_eq!(iss.exit_code(), w.expected, "{kernel}: ISS vs gold");
 
-        for proc in ProcModel::ALL {
+        for (p, proc) in ProcModel::ALL.into_iter().enumerate() {
             let name = proc.label();
             let mut ca = CaSim::with_config(proc, &w.program, &proc.default_config());
             let r = ca.run(MAX_CYCLES);
             assert_eq!(r.fault, None, "{kernel}: {name} fault");
             assert_eq!(r.exit, Some(w.expected), "{kernel}: {name} vs gold");
             assert_eq!(r.instrs, iss.instr_count(), "{kernel}: {name} instr count");
+            assert_eq!((r.cycles, r.instrs), PINNED[p][k], "{kernel}: {name} pinned counts");
             let cpi = r.cpi();
             assert!(
                 (1.0..8.0).contains(&cpi),
