@@ -205,8 +205,14 @@ fn main() -> ExitCode {
             stats.retired, stats.flushed, stats.stalls, stats.guard_fails
         );
         println!(
-            "sched: place visits {} skips {}  superblocks {}  ops inlined {}",
-            sched.place_visits, sched.place_skips, sched.superblocks_entered, sched.ops_inlined
+            "sched: place visits {} skips {}  superblocks {}  ops inlined {}  \
+             cycles skipped {} in {} jumps",
+            sched.place_visits,
+            sched.place_skips,
+            sched.superblocks_entered,
+            sched.ops_inlined,
+            sim.engine.cycles_skipped(),
+            sim.engine.skip_runs()
         );
     }
     if failed {

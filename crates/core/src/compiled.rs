@@ -44,6 +44,10 @@ pub(crate) struct HotTrans {
     /// The transition gates on something ([`GuardCode`] is not `None`).
     /// Honest by construction: empty IR guard programs compile to `None`.
     pub(crate) has_guard: bool,
+    /// The guard runs code the engine cannot see into: a closure, or an
+    /// IR program holding a [`MicroOp::CallHook`]. A cycle that evaluates
+    /// such a guard is never fast-forwarded (it may read the cycle count).
+    pub(crate) opaque_guard: bool,
     /// Firing performs action work ([`ActionCode`] is not `None`, or the
     /// guard is fused and acquires at fire time). Honest by construction.
     pub(crate) has_action: bool,
@@ -387,6 +391,14 @@ impl ExecPlan {
                     tdelay: u64::from(t.delay),
                     cap: dp.cap,
                     has_guard: d.guard != GuardCode::None,
+                    opaque_guard: match d.guard {
+                        GuardCode::Closure => true,
+                        GuardCode::Prog(i) => programs[i as usize]
+                            .ops()
+                            .iter()
+                            .any(|op| matches!(op, MicroOp::CallHook(_))),
+                        GuardCode::None | GuardCode::Fused { .. } => false,
+                    },
                     has_action: d.action != ActionCode::None || fused,
                     has_extra: !t.extra_inputs.is_empty(),
                     has_res: !t.reservations.is_empty(),

@@ -60,6 +60,12 @@
 //! [`SchedulerMode::Exhaustive`] keeps the verbatim Figure 8 sweep as the
 //! differential-testing oracle (and as the honest ablation baseline).
 //!
+//! On top of the worklist, [`Engine::run_until`] (behind [`Engine::run`])
+//! fast-forwards over idle stretches: once two cycles in a row have moved
+//! nothing and run no opaque code, it jumps to the next timed event and
+//! replays the skipped cycles' counters exactly. [`Engine::step`] always
+//! executes one cycle.
+//!
 //! The paper's optimizations are implemented and individually
 //! switchable through [`EngineConfig`] so their contribution can be
 //! measured: every variant is a point on the engine axis of the batch
@@ -294,6 +300,17 @@ struct EngineState<D: InstrData, R> {
     cfg: EngineConfig,
     stats: Stats,
     sched: SchedStats,
+    /// Whether the cycle being stepped has stayed quiescent so far: set at
+    /// the start of each step, cleared by every fire, latch commit,
+    /// expiry scan and opaque call (see [`EngineState::fast_forward`]).
+    quiet: bool,
+    /// Counters as of the end of the last stepped cycle, when that cycle
+    /// was quiescent: the base of the next one-cycle delta to replay.
+    snap_stats: Stats,
+    snap_sched: SchedStats,
+    /// Cycles fast-forwarded over, and the number of jumps that did it.
+    cycles_skipped: u64,
+    skip_runs: u64,
     halted: bool,
     cycle: u64,
     trace: Vec<TraceEvent>,
@@ -337,8 +354,13 @@ impl<D: InstrData, R> Engine<D, R> {
                 pending_dirty: Vec::new(),
                 park: vec![ChainPark::EMPTY; n_places],
                 cfg,
+                snap_stats: stats.clone(),
                 stats,
                 sched: SchedStats::default(),
+                quiet: false,
+                snap_sched: SchedStats::default(),
+                cycles_skipped: 0,
+                skip_runs: 0,
                 halted: false,
                 cycle: 0,
                 trace: Vec::new(),
@@ -394,6 +416,19 @@ impl<D: InstrData, R> Engine<D, R> {
         &self.st.sched
     }
 
+    /// Cycles that [`Engine::run`] fast-forwarded over instead of stepping
+    /// (see "Quiescence fast-forward" on [`Engine::run_until`]). Their
+    /// effect is already in [`Engine::stats`] and [`Engine::sched`]; this
+    /// only says how many were not stepped one by one.
+    pub fn cycles_skipped(&self) -> u64 {
+        self.st.cycles_skipped
+    }
+
+    /// Number of fast-forward jumps behind [`Engine::cycles_skipped`].
+    pub fn skip_runs(&self) -> u64 {
+        self.st.skip_runs
+    }
+
     /// Current cycle number.
     pub fn cycle(&self) -> u64 {
         self.st.cycle
@@ -426,16 +461,65 @@ impl<D: InstrData, R> Engine<D, R> {
         self.st.inject(&self.plan, payload, place)
     }
 
-    /// Executes one clock cycle (Figure 8 main loop body).
+    /// Executes exactly one clock cycle (Figure 8 main loop body); never
+    /// fast-forwards.
     pub fn step(&mut self) {
         self.st.step(&self.model, &self.plan);
     }
 
-    /// Runs until the model halts or `max_cycles` have executed.
+    /// Runs until the model halts or `max_cycles` have executed
+    /// ([`Engine::run_until`] with no extra stop condition).
     pub fn run(&mut self, max_cycles: u64) -> RunOutcome {
+        self.run_until(max_cycles, |_| false)
+    }
+
+    /// Runs until the model halts, `stop` holds after a cycle, or
+    /// `max_cycles` have executed.
+    ///
+    /// # Quiescence fast-forward
+    ///
+    /// Under [`SchedulerMode::ActivityDriven`] the loop jumps over idle
+    /// stretches instead of stepping them. A cycle is *quiescent* when it
+    /// fires, generates, commits and expires nothing and runs no opaque
+    /// code (closure guard, IR guard calling a hook, source guard or
+    /// `produce`). After two quiescent cycles in a row, every later cycle
+    /// repeats the second one exactly until the next timed event — the
+    /// earliest wake of a place that did not stall, `ready_at` of a
+    /// delayed token, or reservation expiry — so the engine moves straight
+    /// to that cycle (or to the limit, when there is none) and adds the
+    /// skipped cycles' [`Stats`] and [`SchedStats`] as that cycle's delta
+    /// times their number. Counters, trace and state end exactly as
+    /// stepping would have left them. [`SchedulerMode::Exhaustive`] never
+    /// jumps.
+    ///
+    /// `stop` sees the engine after each stepped cycle. It must depend on
+    /// simulated state that idle cycles leave alone (machine resources,
+    /// tokens), not on the cycle count, since it is not consulted inside
+    /// a jump.
+    pub fn run_until(
+        &mut self,
+        max_cycles: u64,
+        mut stop: impl FnMut(&Self) -> bool,
+    ) -> RunOutcome {
         let limit = self.st.cycle.saturating_add(max_cycles);
+        let can_skip = self.st.cfg.scheduler == SchedulerMode::ActivityDriven;
+        // Whether `snap_*` holds the counters as of the end of the cycle
+        // before the last one, and that cycle was quiescent.
+        let mut armed = false;
         while !self.st.halted && self.st.cycle < limit {
             self.st.step(&self.model, &self.plan);
+            if stop(self) {
+                break;
+            }
+            if can_skip && self.st.quiet {
+                if armed {
+                    self.st.fast_forward(limit);
+                }
+                self.st.snapshot();
+                armed = true;
+            } else {
+                armed = false;
+            }
         }
         if self.st.halted {
             RunOutcome::Halted
@@ -462,6 +546,7 @@ impl<D: InstrData, R> EngineState<D, R> {
     /// One clock cycle (Figure 8 main loop body).
     fn step(&mut self, model: &Model<D, R>, plan: &ExecPlan) {
         self.machine.cycle = self.cycle;
+        self.quiet = true;
         let exhaustive = self.cfg.scheduler == SchedulerMode::Exhaustive;
 
         // 1. Two-list commit: written tokens become readable. Walks the
@@ -477,6 +562,7 @@ impl<D: InstrData, R> EngineState<D, R> {
                 if self.pending[pi].is_empty() {
                     continue; // stale entry (e.g. the place was flushed)
                 }
+                self.quiet = false;
                 let p = PlaceId::from_index(pi);
                 for &id in &self.pending[pi] {
                     self.machine.regs.note_move(id, p);
@@ -515,6 +601,7 @@ impl<D: InstrData, R> EngineState<D, R> {
                 }
             }
             self.sched.expiry_scans += 1;
+            self.quiet = false;
             let cycle = self.cycle;
             let mut expired = std::mem::take(&mut self.expired);
             expired.clear();
@@ -612,6 +699,82 @@ impl<D: InstrData, R> EngineState<D, R> {
 
         self.cycle += 1;
         self.stats.cycles += 1;
+    }
+
+    /// Records the counters as of the end of the cycle just stepped, as
+    /// the base of the next one-cycle delta (the buffers are reused).
+    fn snapshot(&mut self) {
+        self.snap_stats.copy_from(&self.stats);
+        self.snap_sched.clone_from(&self.sched);
+    }
+
+    /// The jump of [`Engine::run_until`]: called after a quiescent cycle
+    /// `c - 1` (`c = self.cycle`) whose predecessor was quiescent too, with
+    /// `snap_*` holding the counters as of that predecessor's end.
+    ///
+    /// Nothing moved in `c - 1`, so token, stage and machine state are
+    /// what they will be in every cycle up to the next timed event; only
+    /// wake bounds and chain parks evolve. Since `c - 2` was quiescent as
+    /// well, every non-empty place entered `c - 1` with a wake of at least
+    /// `c - 1`, so the places `c - 1` visited are those whose wake was
+    /// `c - 1`. Each of them held a ready token: a wake is only ever set
+    /// to a stall re-arm or to a token's `ready_at`, and only ready tokens
+    /// leave a place outside a flush. Each visit therefore stalled and
+    /// re-armed its place to `c`, and it repeats identically until one of
+    /// the place's delayed tokens comes due. Every other place is skipped
+    /// until its wake. Up to the earliest of those wakes, due tokens and
+    /// reservation expiries, every cycle repeats `c - 1`, so the jump adds
+    /// that cycle's counter delta once per skipped cycle and moves the
+    /// stall re-arms (wakes and chain parks due at `c`) to the target.
+    fn fast_forward(&mut self, limit: u64) {
+        let c = self.cycle;
+        debug_assert!(self.pending_dirty.is_empty() && c > 0);
+        let mut target = limit;
+        let mut stalled = 0u64;
+        for pi in 0..self.n_instr.len() {
+            if self.n_res[pi] > 0 {
+                target = target.min(self.res_wake[pi]);
+            }
+            if self.n_instr[pi] == 0 {
+                continue;
+            }
+            if self.wake[pi] > c {
+                target = target.min(self.wake[pi]);
+                continue;
+            }
+            stalled += 1;
+            for &id in &self.live[pi] {
+                let t = self.pool.get(id).expect("listed token is live");
+                if t.kind == TokenKind::Instruction && t.ready_at >= c {
+                    target = target.min(t.ready_at);
+                }
+            }
+        }
+        if target <= c {
+            return;
+        }
+        debug_assert_eq!(
+            stalled,
+            self.sched.place_visits - self.snap_sched.place_visits,
+            "a quiescent cycle visited a place that did not stall"
+        );
+        let k = target - c;
+        self.stats.replay(&self.snap_stats, k);
+        self.sched.replay(&self.snap_sched, k);
+        for (w, &n) in self.wake.iter_mut().zip(&self.n_instr) {
+            if n > 0 && *w == c {
+                *w = target;
+            }
+        }
+        for park in &mut self.park {
+            if park.fire_at == c {
+                park.fire_at = target;
+            }
+        }
+        self.cycle = target;
+        self.machine.cycle = target - 1;
+        self.cycles_skipped += k;
+        self.skip_runs += 1;
     }
 
     /// Accounts one activity skip of a non-empty place: the tokens that
@@ -826,6 +989,9 @@ impl<D: InstrData, R> EngineState<D, R> {
             }
         }
         if h.has_guard {
+            if h.opaque_guard {
+                self.quiet = false;
+            }
             let passed = match plan.dispatch[tid].guard {
                 GuardCode::None => unreachable!("has_guard implies a guard code"),
                 GuardCode::Closure => {
@@ -926,6 +1092,7 @@ impl<D: InstrData, R> EngineState<D, R> {
 
         // Fire: same observable sequence as `EngineState::fire`, minus
         // the impossible parts (joins, reservations, side effects).
+        self.quiet = false;
         let cycle = self.cycle;
         let tid = sb.tid as usize;
         self.remove_from_place(plan, place.index(), token, TokenKind::Instruction);
@@ -1065,6 +1232,7 @@ impl<D: InstrData, R> EngineState<D, R> {
         place: PlaceId,
     ) {
         let cycle = self.cycle;
+        self.quiet = false;
 
         // Consume extra-input tokens (joins) first.
         if h.has_extra {
@@ -1288,6 +1456,7 @@ impl<D: InstrData, R> EngineState<D, R> {
                 if !hp.is_end && self.stage_occ[hp.stage as usize] >= hp.cap {
                     break;
                 }
+                self.quiet = false;
                 if let Some(guard) = &model.sources[si].guard {
                     if !guard(&self.machine) {
                         break;

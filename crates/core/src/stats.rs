@@ -45,6 +45,14 @@ pub struct Stats {
 /// Host-side scheduler counters: how much per-cycle work the engine
 /// actually performed versus skipped.
 ///
+/// Every counter reads *as if stepped*: cycles that
+/// [`crate::engine::Engine::run`] fast-forwards over (see its quiescence
+/// rule) are accounted exactly as stepping them one by one would have,
+/// so a step-driven and a run-driven simulation of the same program
+/// agree on this block. How many cycles were jumped is reported outside
+/// it, by [`crate::engine::Engine::cycles_skipped`] and
+/// [`crate::engine::Engine::skip_runs`].
+///
 /// These are deliberately **not** part of [`Stats`]. `Stats` describes the
 /// simulated machine and is bit-identical between the activity-driven
 /// scheduler and the exhaustive-sweep oracle (that identity is the
@@ -154,6 +162,44 @@ impl SchedStats {
         self.chain_links_fired += chain_links_fired;
     }
 
+    /// Adds `k` more copies of the one-cycle delta `self - before`
+    /// (`before` is a snapshot taken one cycle earlier): the replay of `k`
+    /// cycles that would each have repeated that delta exactly.
+    pub(crate) fn replay(&mut self, before: &SchedStats, k: u64) {
+        let SchedStats {
+            place_visits,
+            place_skips,
+            token_visits,
+            token_visits_skipped,
+            trans_visits,
+            trans_visits_skipped,
+            expiry_scans,
+            expiry_skips,
+            guard_ir_evals,
+            guard_hook_evals,
+            actions_fused,
+            superblocks_entered,
+            ops_inlined,
+            chains_entered,
+            chain_links_fired,
+        } = before;
+        replay(&mut self.place_visits, *place_visits, k);
+        replay(&mut self.place_skips, *place_skips, k);
+        replay(&mut self.token_visits, *token_visits, k);
+        replay(&mut self.token_visits_skipped, *token_visits_skipped, k);
+        replay(&mut self.trans_visits, *trans_visits, k);
+        replay(&mut self.trans_visits_skipped, *trans_visits_skipped, k);
+        replay(&mut self.expiry_scans, *expiry_scans, k);
+        replay(&mut self.expiry_skips, *expiry_skips, k);
+        replay(&mut self.guard_ir_evals, *guard_ir_evals, k);
+        replay(&mut self.guard_hook_evals, *guard_hook_evals, k);
+        replay(&mut self.actions_fused, *actions_fused, k);
+        replay(&mut self.superblocks_entered, *superblocks_entered, k);
+        replay(&mut self.ops_inlined, *ops_inlined, k);
+        replay(&mut self.chains_entered, *chains_entered, k);
+        replay(&mut self.chain_links_fired, *chain_links_fired, k);
+    }
+
     /// Total guard evaluations, independent of dispatch representation.
     pub fn guard_evals(&self) -> u64 {
         self.guard_ir_evals + self.guard_hook_evals
@@ -260,6 +306,63 @@ impl Stats {
         add_vec(&mut self.occupancy, occupancy);
     }
 
+    /// Overwrites `self` with `other`, reusing `self`'s vector buffers.
+    pub(crate) fn copy_from(&mut self, other: &Stats) {
+        let mut fires = std::mem::take(&mut self.fires);
+        let mut source_fires = std::mem::take(&mut self.source_fires);
+        let mut place_stalls = std::mem::take(&mut self.place_stalls);
+        let mut occupancy = std::mem::take(&mut self.occupancy);
+        fires.clone_from(&other.fires);
+        source_fires.clone_from(&other.source_fires);
+        place_stalls.clone_from(&other.place_stalls);
+        occupancy.clone_from(&other.occupancy);
+        *self = Stats { fires, source_fires, place_stalls, occupancy, ..*other };
+    }
+
+    /// Adds `k` more copies of the one-cycle delta `self - before`; the
+    /// [`Stats`] half of [`SchedStats::replay`]. `before` must come from
+    /// the same engine, so the per-entity vectors have equal lengths.
+    pub(crate) fn replay(&mut self, before: &Stats, k: u64) {
+        let Stats {
+            cycles,
+            retired,
+            generated,
+            emitted,
+            flushed,
+            reservations,
+            leaked_reservations,
+            guard_fails,
+            capacity_blocks,
+            stalls,
+            two_list_commits,
+            fires,
+            source_fires,
+            place_stalls,
+            occupancy,
+        } = before;
+        replay(&mut self.cycles, *cycles, k);
+        replay(&mut self.retired, *retired, k);
+        replay(&mut self.generated, *generated, k);
+        replay(&mut self.emitted, *emitted, k);
+        replay(&mut self.flushed, *flushed, k);
+        replay(&mut self.reservations, *reservations, k);
+        replay(&mut self.leaked_reservations, *leaked_reservations, k);
+        replay(&mut self.guard_fails, *guard_fails, k);
+        replay(&mut self.capacity_blocks, *capacity_blocks, k);
+        replay(&mut self.stalls, *stalls, k);
+        replay(&mut self.two_list_commits, *two_list_commits, k);
+        fn replay_vec(now: &mut [u64], before: &[u64], k: u64) {
+            debug_assert_eq!(now.len(), before.len());
+            for (a, &b) in now.iter_mut().zip(before) {
+                replay(a, b, k);
+            }
+        }
+        replay_vec(&mut self.fires, fires, k);
+        replay_vec(&mut self.source_fires, source_fires, k);
+        replay_vec(&mut self.place_stalls, place_stalls, k);
+        replay_vec(&mut self.occupancy, occupancy, k);
+    }
+
     /// Cycles per instruction.
     ///
     /// Returns `None` until at least one instruction has retired.
@@ -314,6 +417,12 @@ impl Stats {
             self.stalls,
         )
     }
+}
+
+/// `now += k * (now - before)`: one counter of a k-cycle replay.
+#[inline]
+fn replay(now: &mut u64, before: u64, k: u64) {
+    *now += k * (*now - before);
 }
 
 #[cfg(test)]

@@ -165,7 +165,18 @@ fn build_model(spec: &Spec) -> (Model<Tok, Feed>, OpClassId, OpClassId) {
 
 /// Runs the spec under `cfg` for a fixed cycle budget, returning the full
 /// trace and statistics.
-fn run_spec(spec: &Spec, mut cfg: EngineConfig) -> (Vec<TraceEvent>, Stats, SchedStats) {
+fn run_spec(spec: &Spec, cfg: EngineConfig) -> (Vec<TraceEvent>, Stats, SchedStats) {
+    let (trace, stats, sched, _) = drive_spec(spec, cfg, false);
+    (trace, stats, sched)
+}
+
+/// [`run_spec`] through `Engine::run`, or one `Engine::step` at a time
+/// when `stepped`; also returns the cycles the run fast-forwarded over.
+fn drive_spec(
+    spec: &Spec,
+    mut cfg: EngineConfig,
+    stepped: bool,
+) -> (Vec<TraceEvent>, Stats, SchedStats, u64) {
     cfg.trace = true;
     let (model, ca, cb) = build_model(spec);
     let feed = Feed::default();
@@ -173,9 +184,61 @@ fn run_spec(spec: &Spec, mut cfg: EngineConfig) -> (Vec<TraceEvent>, Stats, Sche
         spec.program.iter().map(|&(is_b, imm)| Tok { class: if is_b { cb } else { ca }, imm }),
     );
     let mut e = Engine::with_config(model, Machine::new(RegisterFile::new(), feed), cfg);
-    e.run(300);
+    if stepped {
+        for _ in 0..300 {
+            e.step();
+        }
+    } else {
+        e.run(300);
+    }
     let trace = e.take_trace();
-    (trace, e.stats().clone(), e.sched().clone())
+    (trace, e.stats().clone(), e.sched().clone(), e.cycles_skipped())
+}
+
+/// A fixed case in which the activity scheduler fast-forwards: the
+/// one-slot first stage holds each token for nine cycles, so the source is
+/// capacity-blocked behind a delayed token and nothing opaque runs while
+/// it waits. Reservations, emission and flushes stay in play. The jumped
+/// run must match the exhaustive oracle in trace and `Stats`, and a
+/// step-driven run in `SchedStats` as well.
+#[test]
+fn fast_forward_behind_a_capacity_blocked_source_matches_the_oracle() {
+    let spec = Spec {
+        n_stages: 3,
+        caps: vec![1],
+        delays: vec![9, 1, 2],
+        skips: vec![],
+        guard_every: 0,
+        token_delays: true,
+        reserve: Some((2, 5)),
+        emit: true,
+        flush_every: 3,
+        program: (0..24).map(|i| (i % 3 == 1, i * 7 % 64)).collect(),
+        width: 1,
+    };
+    let configs = [
+        EngineConfig::default(),
+        EngineConfig { table_mode: TableMode::FullScan, ..Default::default() },
+        EngineConfig { two_list_everywhere: true, ..Default::default() },
+    ];
+    for base in configs {
+        let activity = EngineConfig { scheduler: SchedulerMode::ActivityDriven, ..base.clone() };
+        let run = drive_spec(&spec, activity.clone(), false);
+        let step = drive_spec(&spec, activity, true);
+        let exh = drive_spec(
+            &spec,
+            EngineConfig { scheduler: SchedulerMode::Exhaustive, ..base.clone() },
+            false,
+        );
+        assert!(run.3 > 0, "no cycle was fast-forwarded under {base:?}");
+        assert_eq!(step.3, 0);
+        assert_eq!(exh.3, 0, "the oracle never jumps");
+        assert_eq!(run.0, exh.0, "trace diverged from the oracle under {base:?}");
+        assert_eq!(run.1, exh.1, "stats diverged from the oracle under {base:?}");
+        assert_eq!(run.0, step.0, "trace diverged from stepping under {base:?}");
+        assert_eq!(run.1, step.1, "stats diverged from stepping under {base:?}");
+        assert_eq!(run.2, step.2, "sched diverged from stepping under {base:?}");
+    }
 }
 
 proptest! {

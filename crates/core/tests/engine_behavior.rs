@@ -788,3 +788,143 @@ fn leaked_reservations_are_counted_and_released() {
     assert_eq!(e.stats().leaked_reservations, 1);
     assert_eq!(e.machine().regs.reserved_cells(), 0);
 }
+
+/// Cycle of the first `Fired` event of `t` in `trace`.
+fn fire_cycle(trace: &[TraceEvent], t: TransitionId) -> Option<u64> {
+    trace.iter().find_map(|ev| match *ev {
+        TraceEvent::Fired { cycle, transition, .. } if transition == t => Some(cycle),
+        _ => None,
+    })
+}
+
+#[test]
+fn closure_guard_cycles_are_never_fast_forwarded() {
+    // The token waits in p2 behind a guard on the cycle count. Nothing
+    // moves for 498 cycles, but the guard is opaque code, so the engine
+    // must step every one of them and fire at exactly cycle 500. (The run
+    // stops right after; an emptied net may be jumped.)
+    let mut b = ModelBuilder::<Tok, Feed>::new();
+    let l1 = b.stage("L1", 1);
+    let l2 = b.stage("L2", 1);
+    let p1 = b.place("p1", l1);
+    let p2 = b.place("p2", l2);
+    let end = b.end_place();
+    let (c, _) = b.class_net("Alu");
+    b.transition(c, "t12").from(p1).to(p2).done();
+    let t2e = b.transition(c, "t2e").from(p2).to(end).guard(|m, _| m.cycle >= 500).done();
+    let model = b.build().unwrap();
+    let cfg = EngineConfig { trace: true, ..Default::default() };
+    let mut e = Engine::with_config(model, Machine::new(RegisterFile::new(), Feed::default()), cfg);
+    e.inject(Tok::plain(c), p1);
+    assert_eq!(e.run(501), RunOutcome::CycleLimit);
+    assert_eq!(fire_cycle(&e.take_trace(), t2e), Some(500));
+    assert_eq!(e.stats().retired, 1);
+    assert_eq!(e.cycles_skipped(), 0, "a closure guard ran in every idle cycle");
+    assert_eq!(e.skip_runs(), 0);
+}
+
+/// Linear `p1 -> p2 -> end` whose transitions carry hook-free IR guards;
+/// p2 holds each token for `p2_delay` cycles and its stage admits one.
+fn ir_pipeline(p2_delay: u32) -> (Model<Tok, Feed>, PlaceId, PlaceId, OpClassId, TransitionId) {
+    let mut b = ModelBuilder::<Tok, Feed>::new();
+    let l1 = b.stage("L1", 1);
+    let l2 = b.stage("L2", 1);
+    let p1 = b.place("p1", l1);
+    let p2 = b.place_with_delay("p2", l2, p2_delay);
+    let end = b.end_place();
+    let (c, _) = b.class_net("Alu");
+    let pass = || Program::new(vec![MicroOp::CheckCond { expect: true }]);
+    b.transition(c, "t12").from(p1).to(p2).guard_ir(pass()).done();
+    let t2e = b.transition(c, "t2e").from(p2).to(end).guard_ir(pass()).done();
+    (b.build().unwrap(), p1, p2, c, t2e)
+}
+
+#[test]
+fn ir_guarded_stall_behind_a_delayed_token_is_fast_forwarded() {
+    // The IR-only twin of the closure case: token A sits in p2 until cycle
+    // 500, token B stalls in p1 on p2's full stage. The stall is pure IR
+    // and capacity, so the idle stretch is jumped, and everything simulated
+    // matches both the exhaustive oracle and a step-by-step run.
+    let run = |scheduler: SchedulerMode, stepped: bool| {
+        let (model, p1, p2, c, t2e) = ir_pipeline(500);
+        let cfg = EngineConfig { trace: true, scheduler, ..Default::default() };
+        let mut e =
+            Engine::with_config(model, Machine::new(RegisterFile::new(), Feed::default()), cfg);
+        e.inject(Tok::plain(c), p2);
+        e.inject(Tok::plain(c), p1);
+        if stepped {
+            for _ in 0..2000 {
+                e.step();
+            }
+        } else {
+            e.run(2000);
+        }
+        let trace = e.take_trace();
+        (fire_cycle(&trace, t2e), trace, e.stats().clone(), e.sched().clone(), e.cycles_skipped())
+    };
+    let jumped = run(SchedulerMode::ActivityDriven, false);
+    let stepped = run(SchedulerMode::ActivityDriven, true);
+    let oracle = run(SchedulerMode::Exhaustive, false);
+    assert_eq!(jumped.0, Some(500), "token A leaves p2 at exactly its ready cycle");
+    assert_eq!(jumped.2.retired, 2);
+    assert!(jumped.2.capacity_blocks >= 499, "B was blocked through A's wait");
+    assert!(jumped.4 > 900, "both waits were jumped, skipped {}", jumped.4);
+    assert_eq!(stepped.4, 0);
+    assert_eq!(oracle.4, 0);
+    assert_eq!(jumped.1, stepped.1, "trace differs from stepping");
+    assert_eq!(jumped.2, stepped.2, "Stats differ from stepping");
+    assert_eq!(jumped.3, stepped.3, "SchedStats differ from stepping");
+    assert_eq!(jumped.1, oracle.1, "trace differs from the exhaustive oracle");
+    assert_eq!(jumped.2, oracle.2, "Stats differ from the exhaustive oracle");
+}
+
+/// A net that can never move again: one token behind a hook-free IR guard
+/// that never passes, and no source.
+fn wedged(scheduler: SchedulerMode) -> Engine<Tok, Feed> {
+    let mut b = ModelBuilder::<Tok, Feed>::new();
+    let l1 = b.stage("L1", 1);
+    let p1 = b.place("p1", l1);
+    let end = b.end_place();
+    let (c, _) = b.class_net("Alu");
+    b.transition(c, "never")
+        .from(p1)
+        .to(end)
+        .guard_ir(Program::new(vec![MicroOp::CheckCond { expect: false }]))
+        .done();
+    let cfg = EngineConfig { scheduler, ..Default::default() };
+    let mut e = Engine::with_config(
+        b.build().unwrap(),
+        Machine::new(RegisterFile::new(), Feed::default()),
+        cfg,
+    );
+    e.inject(Tok::plain(c), p1);
+    e
+}
+
+#[test]
+fn wedged_net_runs_to_its_cycle_limit_at_once() {
+    let mut e = wedged(SchedulerMode::ActivityDriven);
+    let start = std::time::Instant::now();
+    assert_eq!(e.run(4_000_000_000), RunOutcome::CycleLimit);
+    let took = start.elapsed();
+    assert!(took < std::time::Duration::from_secs(1), "wedged run took {took:?}");
+    assert_eq!(e.stats().cycles, 4_000_000_000);
+    assert_eq!(e.cycle(), 4_000_000_000);
+    // The token is ready from cycle 1 (one-cycle place delay) and stalls
+    // in every cycle after, as if stepped.
+    assert_eq!(e.stats().stalls, 4_000_000_000 - 1);
+    assert_eq!(e.cycles_skipped(), 4_000_000_000 - 2);
+    assert_eq!(e.skip_runs(), 1);
+
+    let mut short = wedged(SchedulerMode::ActivityDriven);
+    assert_eq!(short.run(10_000), RunOutcome::CycleLimit);
+    let mut oracle = wedged(SchedulerMode::Exhaustive);
+    assert_eq!(oracle.run(10_000), RunOutcome::CycleLimit);
+    assert_eq!(short.stats(), oracle.stats());
+    let mut stepped = wedged(SchedulerMode::ActivityDriven);
+    for _ in 0..10_000 {
+        stepped.step();
+    }
+    assert_eq!(short.stats(), stepped.stats());
+    assert_eq!(short.sched(), stepped.sched());
+}

@@ -282,19 +282,15 @@ impl CaSim {
 
     /// Runs until program exit (with the pipeline fully drained so the
     /// architectural state is final), fault, or the cycle budget is
-    /// exhausted.
+    /// exhausted. Idle stretches are fast-forwarded exactly as in
+    /// [`Engine::run_until`].
     pub fn run(&mut self, max_cycles: u64) -> SimResult {
-        let limit = self.engine.cycle().saturating_add(max_cycles);
-        while !self.engine.halted() && self.engine.cycle() < limit {
-            self.engine.step();
-            if self.engine.machine().res.exit.is_some() && self.engine.live_tokens() == 0 {
-                break;
-            }
-        }
+        self.engine
+            .run_until(max_cycles, |e| e.machine().res.exit.is_some() && e.live_tokens() == 0);
         self.result()
     }
 
-    /// Steps one cycle.
+    /// Steps exactly one cycle.
     pub fn step(&mut self) {
         self.engine.step();
     }
